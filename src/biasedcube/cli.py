@@ -63,7 +63,9 @@ def _emit(cfg: RunConfig, body: dict, rows=None) -> None:
         },
         "body": {"config": cfg.body_config(), **body},
     }
-    if cfg.fmt == "csv" and rows is not None:
+    if cfg.fmt == "csv":
+        if rows is None:
+            raise ValueError(f"{cfg.command} has no CSV output; use --format json")
         buf = io.StringIO()
         writer = csv.writer(buf)
         for row in rows:
@@ -160,8 +162,14 @@ def _load_family(spec: str, n: int, k: int) -> SetFamily:
     raise ValueError(f"unknown family spec {spec!r}")
 
 
+def _check_max_n(n: int, max_n: int) -> None:
+    if n > max_n:
+        raise ValueError(f"--n {n} exceeds --max-n {max_n}")
+
+
 def cmd_count(cfg: RunConfig) -> int:
     n = cfg.extra["n"]
+    _check_max_n(n, cfg.max_n)
     sizes = cfg.extra["sizes"]
     fams = [_load_family(s, n, k) for s, k in zip(cfg.extra["families"], sizes)]
     body: dict = {"n": n, "sizes": sizes,
@@ -186,6 +194,7 @@ _NAMED_HYPERGRAPHS = {
 
 def cmd_removal(cfg: RunConfig) -> int:
     n, k, s = cfg.extra["n"], cfg.extra["k"], cfg.extra["s"]
+    _check_max_n(n, cfg.max_n)
     F = _load_family(cfg.extra["family"], n, k)
     hspec = cfg.extra["hypergraph"]
     if hspec.startswith("file:"):

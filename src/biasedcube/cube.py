@@ -134,8 +134,14 @@ class DenseFunction:
     def from_bytes(data: bytes) -> "DenseFunction":
         if data[:4] != _MAGIC:
             raise ValueError("bad magic, not a dense-function blob")
+        if len(data) < 16:
+            raise ValueError(f"truncated dense-function blob: {len(data)} bytes, "
+                             "the header needs 16")
         n, flags = struct.unpack("<II", data[4:12])
         _check_n(n)
+        if len(data) != 16 + (8 << n):
+            raise ValueError(f"dense-function blob for n={n} has {len(data) - 16} "
+                             f"body bytes, expected {8 << n}")
         body = np.frombuffer(data[16:], dtype="<f8")
         return DenseFunction(n, body, boolean=bool(flags & FLAG_BOOLEAN),
                              bounded=bool(flags & FLAG_BOUNDED))

@@ -18,7 +18,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .cube import coords_of, mask_of
-from .families import JuntaFamily, SetFamily, family_slice, _compact
+from .families import JuntaFamily, SetFamily
 
 
 class FreenessInconclusive(Exception):
@@ -315,6 +315,14 @@ def almost_free_exact(F: SetFamily, H: Hypergraph,
     over ordered edge tuples sharing H's Venn signature, and each tuple
     is hit by exactly prod |cell|! injections.  So the probability is
     (#signature-matching tuples inside F) * prod |cell|! / (n)_v.
+
+    The matching tuples are counted by depth-first search over members of
+    F.  Venn cell sizes and the intersection sizes |cap_{i in T} A_i| over
+    nonempty sets T of edge positions determine each other (Moebius
+    inversion), so a candidate joins a prefix only when its intersections
+    with the prefix's running intersections have the target sizes; the
+    leaves are exactly the matching tuples.  Pruning changes only the
+    time: the work bound still refuses when (n)_v or |F|**h exceeds it.
     """
     for e in H.edges:
         if bin(e).count("1") != F.k:
@@ -329,22 +337,33 @@ def almost_free_exact(F: SetFamily, H: Hypergraph,
     if len(members) ** h > work_bound:
         raise ValueError("work bound exceeded; use almost_free_estimate")
 
-    count = 0
+    # sizes[T] = |cap_{i in T} A_i| for each nonempty bitmask T of positions
+    sizes = [0] * (1 << h)
+    for T in range(1, 1 << h):
+        inter = -1
+        for i in range(h):
+            if (T >> i) & 1:
+                inter &= H.edges[i]
+        sizes[T] = inter.bit_count()
 
-    def rec(chosen):
-        nonlocal count
-        if len(chosen) == h:
-            if _venn_signature(chosen) == target:
-                count += 1
-            return
-        for m in members:
-            rec(chosen + [m])
+    def count(inters, d):
+        # inters[T - 1] is the intersection of the chosen members in T, for
+        # nonempty T over positions < d.  A new member b at position d forms
+        # T | (1 << d): b itself for T = 0 (a k-set, like A_d), else
+        # inters[T - 1] & b, whose size must be sizes[T | (1 << d)].
+        cands = members
+        for m, w in zip(inters, sizes[(1 << d) + 1:2 << d]):
+            cands = [b for b in cands if (m & b).bit_count() == w]
+        if d + 1 == h:
+            return len(cands)
+        return sum(count(inters + [b] + [m & b for m in inters], d + 1)
+                   for b in cands)
 
-    rec([])
+    matches = count([], 0) if h else 1  # an edgeless H has one copy: ()
     cell_perms = 1
     for c in target:
         cell_perms *= math.factorial(c)
-    return Fraction(count * cell_perms, total_inj)
+    return Fraction(matches * cell_perms, total_inj)
 
 
 def trace_probability_order(H: Hypergraph, J, trace, n: int, samples: int,
@@ -367,11 +386,3 @@ def trace_probability_order(H: Hypergraph, J, trace, n: int, samples: int,
     est = hits / samples
     stderr = math.sqrt(max(est * (1.0 - est), 1e-300) / samples)
     return est, stderr
-
-
-def slice_of_copy(F: SetFamily, J, B, D) -> bool:
-    """Membership of a compacted copy part in a slice (helper for the
-    expanded-hypergraph event split)."""
-    sl = family_slice(F, J, B)
-    rest = [c for c in range(1, F.n + 1) if c not in set(J)]
-    return _compact(mask_of(D) if not isinstance(D, int) else D, rest) in sl.members

@@ -67,6 +67,13 @@ class TestCurve:
                             "--max-n", "5"], capsys)
         assert code == 2 and "exceeds" in err
 
+    def test_truncated_binary_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "fn.bin"
+        path.write_bytes(b"BQF1" + b"\x00" * 6)
+        code, out, err = run(["curve", "--function", f"file:{path}"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: truncated") and err.count("\n") == 1
+
     def test_file_input(self, tmp_path, capsys):
         from biasedcube.cube import DenseFunction
         f = DenseFunction.from_predicate(4, lambda x: x != 0)
@@ -115,6 +122,20 @@ class TestCount:
         num, den = body["probability_exact"].split("/")
         assert int(num) > 0 and int(den) > 0
 
+    def test_max_n_guard(self, capsys):
+        code, out, err = run(["count", "--n", "9", "--max-n", "5", "--sizes",
+                              "1,1", "--families", "full,full"], capsys)
+        assert code == 2 and out == "" and "exceeds --max-n" in err
+
+    def test_csv_refused(self, tmp_path, capsys):
+        path = tmp_path / "report.csv"
+        code, out, err = run(["count", "--n", "4", "--sizes", "1,1",
+                              "--families", "singleton:1,singleton:2",
+                              "--samples", "100", "--format", "csv",
+                              "--out", str(path)], capsys)
+        assert code == 2 and out == "" and not path.exists()
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_bad_family_exit_2(self, capsys):
         code, _, err = run(["count", "--n", "4", "--sizes", "1",
                             "--families", "bogus"], capsys)
@@ -143,6 +164,20 @@ class TestRemoval:
                             "--out", str(path)], capsys)
         assert code == 0 and out == ""
         jsonschema.validate(json.loads(path.read_text()), load_schema())
+
+    def test_max_n_guard(self, capsys):
+        code, out, err = run(["removal", "--family", "star", "--hypergraph",
+                              "i21", "--n", "9", "--k", "3", "--max-n", "5"],
+                             capsys)
+        assert code == 2 and out == "" and "exceeds --max-n" in err
+
+    def test_csv_refused(self, tmp_path, capsys):
+        path = tmp_path / "report.csv"
+        code, out, err = run(["removal", "--family", "star", "--hypergraph",
+                              "m2", "--n", "9", "--k", "3", "--samples", "1000",
+                              "--format", "csv", "--out", str(path)], capsys)
+        assert code == 2 and out == "" and not path.exists()
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestParser:

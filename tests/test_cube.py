@@ -225,3 +225,9 @@ class TestSerialization:
     def test_bad_magic(self):
         with pytest.raises(ValueError):
             DenseFunction.from_bytes(b"NOPE" + b"\x00" * 20)
+
+    def test_truncated_blob(self):
+        blob = DenseFunction.dictator(3, 2).to_bytes()
+        for cut in (blob[:10], blob[:-8]):
+            with pytest.raises(ValueError):
+                DenseFunction.from_bytes(cut)

@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -187,6 +189,42 @@ class TestCounting:
         assert all(bin(e).count("1") == 3 for e in copy)
         inter = copy[0] & copy[1]
         assert bin(inter).count("1") == 1  # image of the shared vertex
+
+
+def almost_free_by_leaves(F, H):
+    """Reference count: visit all |F|^h ordered member tuples, repeats
+    included, and compare each leaf's Venn signature with H's."""
+    target = hg._venn_signature(H.edges)
+    matches = sum(hg._venn_signature(t) == target
+                  for t in product(sorted(F.members), repeat=H.h))
+    cell_perms = math.prod(math.factorial(c) for c in target)
+    v = bin(H.support()).count("1")
+    return Fraction(matches * cell_perms, math.perm(F.n, v))
+
+
+ORACLE_HYPERGRAPHS = {
+    "i21": sunflower_hypergraph(2, 3),
+    "m2": matching_hypergraph(2, 3),
+    "sunflower33": sunflower_hypergraph(3, 3),
+    "matching32": matching_hypergraph(3, 2),
+    "sunflower32": sunflower_hypergraph(3, 2),
+    "repeated": Hypergraph(3, (0b011, 0b011, 0b110), allow_repeats=True),
+}
+
+
+class TestCountingOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_HYPERGRAPHS))
+    def test_pruned_search_matches_leaf_enumeration(self, name):
+        H = ORACLE_HYPERGRAPHS[name]
+        k = H.max_edge_size()
+        v = bin(H.support()).count("1")
+        families = [SetFamily.empty(v + 1, k), SetFamily.full(v, k)]
+        for seed in range(34):
+            n = v + seed % 2
+            density = (0.1, 0.25, 0.45)[seed % 3]
+            families.append(SetFamily.random(n, k, density, seed=1000 + seed))
+        for F in families:
+            assert hg.almost_free_exact(F, H) == almost_free_by_leaves(F, H)
 
 
 class TestTraceProbability:
