@@ -54,6 +54,7 @@ from .families import (
 from .hypergraphs import (
     FreenessInconclusive,
     Hypergraph,
+    WorkBoundExceeded,
     almost_free_estimate,
     almost_free_exact,
     is_expanded,

@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -44,14 +43,6 @@ class RunConfig:
     def body_config(self) -> dict:
         return {"seed": self.seed, "tolerance": self.tolerance,
                 "max_n": self.max_n, "samples": self.samples, **self.extra}
-
-
-def _threads() -> int:
-    # parallelism cap honored by keeping everything single-threaded unless raised
-    try:
-        return max(1, int(os.environ.get("BQ_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(cfg: RunConfig, body: dict, rows=None) -> None:
@@ -258,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _threads()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -17,7 +17,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .cube import DenseFunction, expectation, mask_of, coords_of, popcounts
+from .cube import (DenseFunction, apply_coordinatewise, coords_of, expectation, mask_of,
+                   popcounts)
 from .noise import CouplingParams, cross_term
 
 
@@ -159,19 +160,15 @@ def family_slice(F: SetFamily, J, B) -> SetFamily:
 def lift(F: SetFamily) -> DenseFunction:
     """f_F(x): zero below level k, else the F-density among k-subsets of x.
 
-    Subset counts come from a zeta transform (subset-sum DP), O(n 2^n).
+    Subset counts come from a zeta transform (subset-sum DP), O(n 2^n);
+    below level k they are zero, since every member is a k-set.
     """
     n, k = F.n, F.k
     g = np.zeros(1 << n)
-    for m in F.members:
-        g[m] += 1.0
-    for i in range(n):
-        v = g.reshape(-1, 2, 1 << i)
-        v[:, 1, :] += v[:, 0, :]
-    pc = popcounts(n)
-    denom = np.array([math.comb(int(c), k) if c >= k else 1 for c in pc], dtype=np.float64)
-    vals = np.where(pc >= k, g / denom, 0.0)
-    return DenseFunction(n, vals, bounded=True)
+    g[list(F.members)] = 1.0
+    counts = apply_coordinatewise(g, n, [(1.0, 0.0, 1.0, 1.0)] * n)
+    denom = np.array([max(math.comb(c, k), 1) for c in range(n + 1)], dtype=np.float64)
+    return DenseFunction(n, counts / denom[popcounts(n)], bounded=True)
 
 
 def lift_direct(F: SetFamily) -> DenseFunction:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cube import Spectrum, popcounts
+from .cube import Spectrum, level_powers
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -112,10 +112,6 @@ def lambda_rho(rho: float, mu: float, nu: float, tol: float = 1e-10) -> float:
     return _adaptive(integrand, lo, hi, q.tolerance)
 
 
-def lambda_query(q: LambdaQuery) -> float:
-    return lambda_rho(q.rho, q.mu, q.nu, q.tolerance)
-
-
 def lambda_mc(rho: float, mu: float, nu: float, samples: int, seed: int) -> tuple[float, float]:
     """Monte-Carlo Lambda with its standard error, chunked for memory."""
     t_mu = phi_inv(mu) if 0.0 < mu < 1.0 else (math.inf if mu >= 1.0 else -math.inf)
@@ -193,7 +189,7 @@ class GaussianPoly:
 
     def noise_scaled(self, rho: float) -> "GaussianPoly":
         """Ornstein-Uhlenbeck smoothing: scale a_S by rho^|S|."""
-        return GaussianPoly(self.n, self.coeffs * rho ** popcounts(self.n))
+        return GaussianPoly(self.n, self.coeffs * level_powers(rho, self.n))
 
 
 def gaussian_analogue(s: Spectrum) -> GaussianPoly:

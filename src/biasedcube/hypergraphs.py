@@ -25,6 +25,10 @@ class FreenessInconclusive(Exception):
     """Raised when the side conditions do not support a trusted verdict."""
 
 
+class WorkBoundExceeded(ValueError):
+    """Raised when an exact count would cost more than its work bound."""
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     universe_size: int
@@ -269,7 +273,7 @@ def junta_is_Hs_free_exhaustive(jf: JuntaFamily, H: Hypergraph, s: int,
                 admissible.add(_venn_signature([R.edges[i] for i in perm]))
     members = sorted(jf.generated().members)
     if len(members) ** h > work_bound:
-        raise ValueError("work bound exceeded; shrink the instance")
+        raise WorkBoundExceeded("work bound exceeded; shrink the instance")
 
     def rec(chosen):
         if len(chosen) == h:
@@ -330,12 +334,12 @@ def almost_free_exact(F: SetFamily, H: Hypergraph,
     v = bin(H.support()).count("1")
     total_inj = math.perm(F.n, v)
     if total_inj > work_bound:
-        raise ValueError("work bound exceeded; use almost_free_estimate")
+        raise WorkBoundExceeded("work bound exceeded; use almost_free_estimate")
     h = H.h
     target = _venn_signature(H.edges)
     members = sorted(F.members)
     if len(members) ** h > work_bound:
-        raise ValueError("work bound exceeded; use almost_free_estimate")
+        raise WorkBoundExceeded("work bound exceeded; use almost_free_estimate")
 
     # sizes[T] = |cap_{i in T} A_i| for each nonempty bitmask T of positions
     sizes = [0] * (1 << h)

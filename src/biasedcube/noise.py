@@ -22,9 +22,11 @@ import numpy as np
 from .cube import (
     DenseFunction,
     Spectrum,
+    apply_coordinatewise,
     expectation,
     inner_product,
     inverse_transform,
+    level_powers,
     popcounts,
     transform,
 )
@@ -72,23 +74,6 @@ class CoupledSampler:
         return x, y
 
 
-def _coordinate_mix(values: np.ndarray, n: int, one_probs) -> np.ndarray:
-    """Apply independent per-coordinate Markov kernels to a dense table.
-
-    one_probs[i] = (a0, a1) gives Pr[output bit i = 1] when the input bit
-    is 0 resp. 1.  Cost O(n 2^n).
-    """
-    c = values.copy()
-    for i in range(n):
-        a0, a1 = one_probs[i]
-        v = c.reshape(-1, 2, 1 << i)
-        f0 = v[:, 0, :].copy()
-        f1 = v[:, 1, :]
-        v[:, 0, :] = (1.0 - a0) * f0 + a0 * f1
-        v[:, 1, :] = (1.0 - a1) * f0 + a1 * f1
-    return c
-
-
 def noise_operator(f: DenseFunction, rho: float, p: float,
                    method: str = "spectral") -> DenseFunction:
     """T_{rho,p}: rerandomize each coordinate with probability 1 - rho.
@@ -100,12 +85,14 @@ def noise_operator(f: DenseFunction, rho: float, p: float,
         raise ValueError("rho outside [0,1]")
     if method == "spectral":
         s = transform(f, p)
-        s.coeffs *= rho ** popcounts(f.n)
+        s.coeffs *= level_powers(rho, f.n)
         return inverse_transform(s)
     if method == "definitional":
+        # a coordinate at 0 (at 1) reads 1 after resampling w.p. a0 (a1)
         a0 = (1.0 - rho) * p
         a1 = rho + (1.0 - rho) * p
-        return DenseFunction(f.n, _coordinate_mix(f.values, f.n, [(a0, a1)] * f.n))
+        kernel = (1.0 - a0, a0, 1.0 - a1, a1)
+        return DenseFunction(f.n, apply_coordinatewise(f.values, f.n, [kernel] * f.n))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -118,12 +105,13 @@ def directed_up(f: DenseFunction, cp: CouplingParams,
     """
     if method == "spectral":
         s = transform(f, cp.q)
-        s.coeffs *= cp.rho ** popcounts(f.n)
+        s.coeffs *= level_powers(cp.rho, f.n)
         return inverse_transform(Spectrum(f.n, cp.p, s.coeffs))
     if method == "definitional":
         r = cp.q / cp.p
         # y_i = 0 forces x_i = 0; y_i = 1 keeps x_i = 1 w.p. q/p
-        return DenseFunction(f.n, _coordinate_mix(f.values, f.n, [(0.0, r)] * f.n))
+        kernel = (1.0, 0.0, 1.0 - r, r)
+        return DenseFunction(f.n, apply_coordinatewise(f.values, f.n, [kernel] * f.n))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -132,12 +120,13 @@ def directed_down(g: DenseFunction, cp: CouplingParams,
     """T_{p->q} g: the conditional expectation E[g(y) | x] along D(q,p)."""
     if method == "spectral":
         s = transform(g, cp.p)
-        s.coeffs *= cp.rho ** popcounts(g.n)
+        s.coeffs *= level_powers(cp.rho, g.n)
         return inverse_transform(Spectrum(g.n, cp.q, s.coeffs))
     if method == "definitional":
         r = (cp.p - cp.q) / (1.0 - cp.q)
         # x_i = 1 forces y_i = 1; x_i = 0 raises y_i to 1 w.p. (p-q)/(1-q)
-        return DenseFunction(g.n, _coordinate_mix(g.values, g.n, [(r, 1.0)] * g.n))
+        kernel = (1.0 - r, r, 0.0, 1.0)
+        return DenseFunction(g.n, apply_coordinatewise(g.values, g.n, [kernel] * g.n))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -145,8 +134,9 @@ def cross_term(f: DenseFunction, g: DenseFunction, cp: CouplingParams) -> float:
     """E over D(q,p) of f(x) (1 - g(y)), with f read at q and g at p."""
     if f.n != g.n:
         raise ValueError("dimension mismatch")
-    if f.bounded and (np.any(f.values < 0) or np.any(f.values > 1)):
-        raise ValueError("f flagged bounded but leaves [0,1]")
+    for name, h in (("f", f), ("g", g)):
+        if h.bounded and (np.any(h.values < 0) or np.any(h.values > 1)):
+            raise ValueError(f"{name} flagged bounded but leaves [0,1]")
     one_minus_g = DenseFunction(g.n, 1.0 - g.values)
     return inner_product(directed_up(f, cp, method="definitional"), one_minus_g, cp.p)
 
@@ -214,9 +204,8 @@ def is_fourier_regular(f: DenseFunction, r: int, delta: float, p: float) -> bool
     """All coefficients at levels 1..r are < delta in absolute value."""
     if r < 0:
         raise ValueError("r must be nonnegative")
-    s = transform(f, p)
-    pc = popcounts(f.n)
-    sel = (pc >= 1) & (pc <= r)
-    if not np.any(sel):
+    if r < 1:
         return True
-    return bool(np.max(np.abs(s.coeffs[sel])) < delta)
+    j = np.arange(f.n + 1)
+    sel = ((j >= 1) & (j <= r))[popcounts(f.n)]
+    return bool(np.max(np.abs(transform(f, p).coeffs[sel])) < delta)

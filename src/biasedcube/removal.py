@@ -15,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import DenseFunction, expectation, mask_of, noisy_influence, restrict
+from .cube import DenseFunction, expectation, mask_of, noisy_influence, popcounts, restrict
 from .noise import CouplingParams, cross_term, is_regular, monotonicity_defect
 from .families import JuntaFamily, SetFamily, family_slice
 from .hypergraphs import (
     FreenessInconclusive,
     Hypergraph,
+    WorkBoundExceeded,
     almost_free_estimate,
     almost_free_exact,
     junta_is_Hs_free,
@@ -180,12 +181,9 @@ def _mu_from_layers(layer_sums: np.ndarray, n: int, p: float) -> float:
 
 def threshold_curve(f: DenseFunction, grid) -> ThresholdCurve:
     """Exact mu_p(f) on a grid plus the critical probability by bisection."""
-    from .cube import popcounts
     n = f.n
-    pc = popcounts(n)
-    layer_sums = np.zeros(n + 1)
-    np.add.at(layer_sums, pc, f.values)
-    monotone = is_monotone(f) if n <= 16 else False
+    layer_sums = np.bincount(popcounts(n), weights=f.values, minlength=n + 1)
+    monotone = is_monotone(f)
     mus = [_mu_from_layers(layer_sums, n, p) for p in grid]
     lo, hi = 1e-6, 1.0 - 1e-6
     p_c = None
@@ -281,7 +279,7 @@ def removal_pipeline(F: SetFamily, H: Hypergraph, s: int, seed: int = 0,
         exact = almost_free_exact(F, H)
         report["almost_free"] = {"exact": f"{exact.numerator}/{exact.denominator}",
                                  "value": float(exact)}
-    except ValueError:
+    except WorkBoundExceeded:
         est, se = almost_free_estimate(F, H, samples, seed)
         report["almost_free"] = {"value": est, "stderr": se}
 
@@ -309,7 +307,7 @@ def removal_pipeline(F: SetFamily, H: Hypergraph, s: int, seed: int = 0,
         try:
             val = float(almost_free_exact(gen2, H))
             decay.append({"n": n2, "value": val, "exact": True})
-        except ValueError:
+        except WorkBoundExceeded:
             est, se = almost_free_estimate(gen2, H, samples, seed + n2)
             decay.append({"n": n2, "value": est, "exact": False, "stderr": se})
     ok = True

@@ -58,6 +58,12 @@ class TestCurve:
         assert abs(body["mu"][0] - 0.1) < 1e-12
         assert body["monotone"]
 
+    def test_monotone_flag_above_n16(self, capsys):
+        code, out, _ = run(["curve", "--function", "maj", "--n", "17",
+                            "--grid", "0.4:0.6:3"], capsys)
+        assert code == 0
+        assert json.loads(out)["body"]["curve"]["monotone"] is True
+
     def test_unknown_function_exit_2(self, capsys):
         code, _, err = run(["curve", "--function", "nope"], capsys)
         assert code == 2 and "unknown function" in err

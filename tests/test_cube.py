@@ -15,6 +15,18 @@ def rand_fn(n):
     return DenseFunction(n, RNG.random(1 << n))
 
 
+def coordinatewise_by_passes(values, n, kernels):
+    """Reference for apply_coordinatewise: one 2x2 update per coordinate."""
+    c = np.array(values, dtype=np.float64)
+    for i, (a, b, cc, d) in enumerate(kernels):
+        v = c.reshape(-1, 2, 1 << i)
+        f0 = v[:, 0, :].copy()
+        f1 = v[:, 1, :].copy()
+        v[:, 0, :] = a * f0 + b * f1
+        v[:, 1, :] = cc * f0 + d * f1
+    return c
+
+
 class TestBasics:
     def test_table_length_enforced(self):
         with pytest.raises(ValueError):
@@ -82,6 +94,38 @@ class TestTransform:
         f = DenseFunction(n, np.random.default_rng(seed).random(1 << n))
         back = cube.inverse_transform(cube.transform(f, p))
         assert float(np.max(np.abs(back.values - f.values))) < 1e-10
+
+
+class TestCoordinatewise:
+    IDENTITY = (1.0, 0.0, 0.0, 1.0)
+    SINGULAR = (0.0, 0.0, 0.0, 1.0)
+
+    def test_matches_one_pass_per_coordinate(self):
+        for n in range(1, 13):
+            x = RNG.normal(size=1 << n)
+            random = [tuple(RNG.uniform(-1.0, 1.0, 4)) for _ in range(n)]
+            mixed = [random[i] if i % 3 == 0 else self.IDENTITY for i in range(n)]
+            singular = [self.SINGULAR if i % 2 else random[i] for i in range(n)]
+            for kernels in (random, mixed, singular, [self.IDENTITY] * n):
+                ref = coordinatewise_by_passes(x, n, kernels)
+                out = cube.apply_coordinatewise(x, n, kernels)
+                scale = max(1.0, float(np.max(np.abs(ref))))
+                assert float(np.max(np.abs(out - ref))) <= 1e-12 * scale, (n, kernels)
+
+    def test_input_untouched(self):
+        x = RNG.random(1 << 6)
+        before = x.copy()
+        cube.apply_coordinatewise(x, 6, [(0.3, 0.7, 0.5, -0.5)] * 6)
+        assert np.array_equal(x, before)
+
+    def test_popcounts_cached_read_only(self):
+        for n in (1, 7, 8, 9, 16, 17):
+            pc = cube.popcounts(n)
+            assert pc is cube.popcounts(n)
+            assert pc.dtype == np.uint8 and not pc.flags.writeable
+            assert pc.tolist() == [bin(x).count("1") for x in range(1 << n)]
+        with pytest.raises(ValueError):
+            cube.popcounts(5)[3] = 0
 
 
 class TestInnerProducts:

@@ -67,11 +67,12 @@ class TestSlices:
 
 class TestLift:
     def test_matches_enumeration_oracle(self):
-        for seed in (1, 2, 3):
-            F = SetFamily.random(8, 3, 0.4, seed=seed)
-            a = families.lift(F)
-            b = families.lift_direct(F)
-            assert float(np.max(np.abs(a.values - b.values))) < 1e-12
+        # subset counts are exact integers and both divide by C(|x|, k)
+        for n in range(3, 11):
+            for k, seed in ((1, n), (2, n + 1), (3, n + 2)):
+                F = SetFamily.random(n, k, 0.4, seed=seed)
+                assert np.array_equal(families.lift(F).values,
+                                      families.lift_direct(F).values)
 
     def test_full_family_is_tail_indicator(self):
         F = SetFamily.full(6, 2)

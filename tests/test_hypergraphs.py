@@ -178,6 +178,18 @@ class TestCounting:
         est, se = hg.almost_free_estimate(F, H, samples=30_000, seed=5)
         assert abs(est - exact) < 4 * se + 1e-9
 
+    def test_work_bound_refusals(self):
+        # sunflower(3, 3) on 7 points: (n)_v = 7! = 5040, |F|**h = 35**3 = 42875
+        F = SetFamily.full(7, 3)
+        H = sunflower_hypergraph(3, 3)
+        jf = JuntaFamily(7, 3, (1,), frozenset({1}))
+        for call in (lambda: hg.almost_free_exact(F, H, work_bound=1000),
+                     lambda: hg.almost_free_exact(F, H, work_bound=10 ** 4),
+                     lambda: hg.junta_is_Hs_free_exhaustive(jf, H, 1, work_bound=10)):
+            with pytest.raises(hg.WorkBoundExceeded, match="work bound exceeded"):
+                call()
+        assert issubclass(hg.WorkBoundExceeded, ValueError)
+
     def test_edge_size_mismatch(self):
         with pytest.raises(ValueError):
             hg.almost_free_exact(SetFamily.full(6, 3), matching_hypergraph(2, 2))

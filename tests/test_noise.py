@@ -141,6 +141,13 @@ class TestCrossTerm:
         assert abs(noise.cross_term(f, g, cp)
                    - noise.cross_term_via_down(f, g, cp)) < 1e-10
 
+    def test_bounded_g_range_checked(self):
+        cp = CouplingParams(0.2, 0.5)
+        g = DenseFunction(3, RNG.random(8), bounded=True)
+        g.values[5] = 1.5
+        with pytest.raises(ValueError, match="g flagged bounded"):
+            noise.cross_term(rand_fn(3), g, cp)
+
     def test_monotone_defect_zero(self):
         cp = CouplingParams(0.3, 0.6)
         f = DenseFunction.from_predicate(5, lambda x: bin(x).count("1") >= 3)

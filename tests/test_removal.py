@@ -184,6 +184,16 @@ class TestPipeline:
         b = removal.removal_pipeline(F, H, s=0, seed=3, samples=2_000)
         assert a == b
 
+    def test_malformed_instance_raises_without_fallback(self, monkeypatch):
+        # edges of size 2 against a 3-uniform family: an input error, not a
+        # refused work bound, so no Monte-Carlo estimate may stand in
+        def fallback(*args, **kwargs):
+            raise AssertionError("fell back to Monte-Carlo")
+
+        monkeypatch.setattr(removal, "almost_free_estimate", fallback)
+        with pytest.raises(ValueError, match="edge sizes"):
+            removal.removal_pipeline(SetFamily.star(8, 3), matching_hypergraph(2, 2), s=0)
+
     def test_scale_guard(self):
         with pytest.raises(ValueError):
             removal.removal_pipeline(SetFamily.full(15, 3),
