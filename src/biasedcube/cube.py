@@ -56,6 +56,48 @@ def coords_of(mask: int):
     return out
 
 
+# -- batched draws: each Monte-Carlo estimator draws an (m, n) array per
+# chunk of samples and decides all m samples with a few numpy passes
+
+_DRAW_CHUNK = 4096  # samples per draw, so memory stays O(_DRAW_CHUNK * n)
+
+
+def _draw_chunks(samples: int) -> list:
+    """Row counts of the successive draws that make up `samples` samples."""
+    return [min(_DRAW_CHUNK, samples - done) for done in range(0, samples, _DRAW_CHUNK)]
+
+
+def _bit_weights(n: int) -> np.ndarray:
+    """The weights 1 << j of the bits j < n; a mask is their sum over its bits.
+
+    int64 holds every mask for n <= 62.  Above that the weights are Python
+    ints in an object array, and the same numpy expressions still apply.
+    """
+    return np.array([1 << j for j in range(n)], dtype=np.int64 if n <= 62 else object)
+
+
+def _uniform_orders(rng, m: int, n: int) -> np.ndarray:
+    """(m, n) array whose rows are uniform random orders of the bits 0..n-1.
+
+    The first v columns of a row are a uniform injection of v vertices into
+    [n]; consecutive column slices are a uniform ordered disjoint tuple.
+    """
+    return np.argsort(rng.random((m, n)), axis=1)
+
+
+def _uniform_buckets(rng, m: int, n: int, h: int) -> np.ndarray:
+    """(m, n) array of independent uniform buckets in 0..h-1.
+
+    Row r reads the same uniforms as the r-th call of rng.random(n).
+    """
+    return np.minimum((rng.random((m, n)) * h).astype(int), h - 1)
+
+
+def _is_member(masks: np.ndarray, members) -> np.ndarray:
+    """Elementwise membership of an array of masks in a set of int masks."""
+    return np.isin(masks, np.fromiter(members, dtype=masks.dtype, count=len(members)))
+
+
 # bit counts of one byte, the lookup table for popcounts
 _BYTE_POPCOUNTS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
     axis=1, dtype=np.uint8)

@@ -17,7 +17,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .cube import coords_of, mask_of
+from .cube import (_bit_weights, _draw_chunks, _is_member, _uniform_orders, coords_of,
+                   mask_of)
 from .families import JuntaFamily, SetFamily
 
 
@@ -294,6 +295,24 @@ def random_copy(H: Hypergraph, n: int, seed) -> tuple:
     return tuple(mask_of(vmap[v] for v in coords_of(e)) for e in H.edges)
 
 
+def _copy_masks(H: Hypergraph, images: np.ndarray, weights: np.ndarray) -> list:
+    """Edge masks of a batch of copies of H, one array per edge.
+
+    Column i of images holds the 0-based image of the i-th support vertex
+    of H; weights is _bit_weights(n).
+    """
+    col = {v: i for i, v in enumerate(coords_of(H.support()))}
+    return [weights[images[:, [col[v] for v in coords_of(e)]]].sum(axis=1) for e in H.edges]
+
+
+def _random_images(H: Hypergraph, n: int, rng, m: int) -> np.ndarray:
+    """(m, v) images of H's support vertices under m uniform injections."""
+    v = bin(H.support()).count("1")
+    if v > n:
+        raise ValueError("not enough vertices to host a copy")
+    return _uniform_orders(rng, m, n)[:, :v]
+
+
 def almost_free_estimate(F: SetFamily, H: Hypergraph, samples: int,
                          seed: int) -> tuple[float, float]:
     """Fraction of uniform random copies of H lying entirely inside F."""
@@ -301,11 +320,14 @@ def almost_free_estimate(F: SetFamily, H: Hypergraph, samples: int,
         if bin(e).count("1") != F.k:
             raise ValueError("edge sizes must match the family uniformity")
     rng = np.random.default_rng(seed)
+    weights = _bit_weights(F.n)
     hits = 0
-    for _ in range(samples):
-        copy = random_copy(H, F.n, rng)
-        if all(e in F.members for e in copy):
-            hits += 1
+    for m in _draw_chunks(samples):
+        copies = _copy_masks(H, _random_images(H, F.n, rng, m), weights)
+        inside = np.ones(m, dtype=bool)
+        for masks in copies:
+            inside &= _is_member(masks, F.members)
+        hits += int(np.count_nonzero(inside))
     est = hits / samples
     stderr = math.sqrt(max(est * (1.0 - est), 1e-300) / samples)
     return est, stderr
@@ -382,11 +404,15 @@ def trace_probability_order(H: Hypergraph, J, trace, n: int, samples: int,
         if B & ~jmask:
             return 0.0, 0.0
     rng = np.random.default_rng(seed)
+    weights = _bit_weights(n)
+    jmask_n = jmask & ((1 << n) - 1)  # copies live in [n]
     hits = 0
-    for _ in range(samples):
-        copy = random_copy(H, n, rng)
-        if all((e & jmask) == B for e, B in zip(copy, trace)):
-            hits += 1
+    for m in _draw_chunks(samples):
+        copies = _copy_masks(H, _random_images(H, n, rng, m), weights)
+        match = np.ones(m, dtype=bool)
+        for masks, B in zip(copies, trace):
+            match &= (masks & jmask_n) == B
+        hits += int(np.count_nonzero(match))
     est = hits / samples
     stderr = math.sqrt(max(est * (1.0 - est), 1e-300) / samples)
     return est, stderr

@@ -1,10 +1,12 @@
 """Matching distributions and cross-containment probabilities.
 
-Three samplers: the uniform ordered disjoint tuple (sequential choice),
-the 1/h-biased matching (bucket each element by which of h intervals its
-uniform variable falls into), and the conditioned variant that rejects
-until every bucket holds at least k elements.  Cross probabilities
-Pr[A_i in F_i for all i] come exactly by nested enumeration or by MC.
+Three samplers: the uniform ordered disjoint tuple (consecutive slices of
+a uniform random order of [n]), the 1/h-biased matching (bucket each
+element by which of h intervals its uniform variable falls into), and the
+conditioned variant that rejects until every bucket holds at least k
+elements.  Cross probabilities Pr[A_i in F_i for all i] come exactly by
+nested enumeration or by MC; the MC estimators draw their samples in
+batches, one array row per sample.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .cube import mask_of, coords_of
-from .families import SetFamily, family_slice, _compact
-from .hypergraphs import Hypergraph
+from .cube import (_bit_weights, _draw_chunks, _is_member, _uniform_buckets, _uniform_orders,
+                   coords_of, mask_of)
+from .families import SetFamily, family_slice
+from .hypergraphs import Hypergraph, _copy_masks, _random_images
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,7 @@ def sample(spec: MatchingSpec, seed, max_tries: int = 10_000) -> tuple:
     """One draw from the spec's distribution, as a tuple of disjoint masks."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if spec.mode == "uniform":
-        return _sample_uniform(spec.n, spec.sizes, rng)
+        return tuple(int(p[0]) for p in _uniform_parts(rng, 1, spec.n, spec.sizes))
     if spec.mode == "biased":
         return _sample_biased(spec.n, spec.h, rng)
     # conditioned: reject until every bucket has >= k elements
@@ -62,24 +65,18 @@ def sample(spec: MatchingSpec, seed, max_tries: int = 10_000) -> tuple:
         f"(acceptance rate below {1.0 / max_tries:.2e})")
 
 
-def _sample_uniform(n: int, sizes, rng) -> tuple:
-    avail = list(range(1, n + 1))
-    parts = []
-    for k in sizes:
-        pick = rng.choice(len(avail), size=k, replace=False)
-        chosen = [avail[i] for i in pick]
-        parts.append(mask_of(chosen))
-        avail = [v for v in avail if v not in set(chosen)]
-    return tuple(parts)
+def _uniform_parts(rng, m: int, n: int, sizes) -> list:
+    """Part masks of m uniform ordered disjoint tuples, one array per part."""
+    orders = _uniform_orders(rng, m, n)
+    weights = _bit_weights(n)
+    bounds = np.cumsum([0, *sizes])
+    return [weights[orders[:, a:b]].sum(axis=1) for a, b in zip(bounds, bounds[1:])]
 
 
 def _sample_biased(n: int, h: int, rng) -> tuple:
-    u = rng.random(n)
-    idx = np.minimum((u * h).astype(int), h - 1)
-    parts = []
-    for i in range(h):
-        parts.append(mask_of(j + 1 for j in np.flatnonzero(idx == i)))
-    return tuple(parts)
+    idx = _uniform_buckets(rng, 1, n, h)[0]
+    weights = _bit_weights(n)
+    return tuple(int(weights[idx == i].sum()) for i in range(h))
 
 
 def acceptance_rate(spec: MatchingSpec, trials: int, seed: int) -> float:
@@ -88,10 +85,12 @@ def acceptance_rate(spec: MatchingSpec, trials: int, seed: int) -> float:
         raise ValueError("acceptance rate applies to conditioned mode")
     rng = np.random.default_rng(seed)
     ok = 0
-    for _ in range(trials):
-        parts = _sample_biased(spec.n, spec.h, rng)
-        if all(bin(b).count("1") >= spec.k for b in parts):
-            ok += 1
+    for m in _draw_chunks(trials):
+        idx = _uniform_buckets(rng, m, spec.n, spec.h)
+        accept = np.ones(m, dtype=bool)
+        for i in range(spec.h):
+            accept &= np.count_nonzero(idx == i, axis=1) >= spec.k
+        ok += int(np.count_nonzero(accept))
     return ok / trials
 
 
@@ -131,10 +130,11 @@ def cross_probability_mc(n: int, sizes, families, samples: int,
     """MC estimate with binomial standard error."""
     rng = np.random.default_rng(seed)
     hits = 0
-    for _ in range(samples):
-        parts = _sample_uniform(n, sizes, rng)
-        if all(m in F.members for m, F in zip(parts, families)):
-            hits += 1
+    for m in _draw_chunks(samples):
+        inside = np.ones(m, dtype=bool)
+        for masks, F in zip(_uniform_parts(rng, m, n, sizes), families):
+            inside &= _is_member(masks, F.members)
+        hits += int(np.count_nonzero(inside))
     est = hits / samples
     stderr = math.sqrt(max(est * (1.0 - est), 1e-300) / samples)
     return est, stderr
@@ -237,6 +237,11 @@ def expanded_event_equivalence(H: Hypergraph, families, samples: int,
     """Per-sample check of the two descriptions of 'the copy lands in
     prod F_i' for an expanded hypergraph with center C: directly, and via
     the slices F_i at the image of C cross-containing the petal matching.
+
+    The samples are drawn in batches.  The slices depend only on the image
+    J of C and the traces B_i = A_i cap J, so family_slice runs once per
+    distinct (J, B_1..B_h); each petal A_i minus J is squeezed onto the
+    compacted ground set [n] minus J by deleting the bits of J.
     """
     C = H.center()
     n = families[0].n
@@ -245,22 +250,37 @@ def expanded_event_equivalence(H: Hypergraph, families, samples: int,
             raise ValueError("family shape mismatch")
     rng = np.random.default_rng(seed)
     verts = coords_of(H.support())
+    center_cols = [verts.index(v) for v in coords_of(C)]
+    weights = _bit_weights(n)
+    low_bits = weights - 1  # low_bits[c]: the bits below bit c
+    slices: dict = {}
     mismatches = 0
-    for _ in range(samples):
-        image = rng.choice(n, size=len(verts), replace=False) + 1
-        vmap = {v: int(image[i]) for i, v in enumerate(verts)}
-        copy = tuple(mask_of(vmap[v] for v in coords_of(e)) for e in H.edges)
-        Jmask = mask_of(vmap[v] for v in coords_of(C))
-        J = coords_of(Jmask)
-        rest = [c for c in range(1, n + 1) if c not in set(J)]
-        ev1 = all(m in F.members for m, F in zip(copy, families))
-        ev2 = True
-        for m, F, e in zip(copy, families, H.edges):
-            B = coords_of(m & Jmask)
-            sl = family_slice(F, J, B)
-            if _compact(m & ~Jmask, rest) not in sl.members:
-                ev2 = False
-                break
-        if ev1 != ev2:
-            mismatches += 1
+    for m in _draw_chunks(samples):
+        images = _random_images(H, n, rng, m)
+        copies = _copy_masks(H, images, weights)
+        ev1 = np.ones(m, dtype=bool)
+        for masks, F in zip(copies, families):
+            ev1 &= _is_member(masks, F.members)
+
+        centers = images[:, center_cols]
+        jmasks = weights[centers].sum(axis=1)
+        petals = [masks & ~jmasks for masks in copies]
+        for c in np.sort(centers, axis=1)[:, ::-1].T:  # highest bit of J first
+            low = low_bits[c]
+            petals = [(p & low) | ((p >> 1) & ~low) for p in petals]
+
+        ev2 = np.ones(m, dtype=bool)
+        groups, inverse = np.unique(centers, axis=0, return_inverse=True)
+        order = np.argsort(inverse, kind="stable")
+        starts = np.cumsum([0, *np.bincount(inverse, minlength=len(groups))])
+        for a, b in zip(starts, starts[1:]):
+            rows = order[a:b]
+            J = int(jmasks[rows[0]])
+            key = (J, *(int(masks[rows[0]]) & J for masks in copies))
+            if key not in slices:
+                slices[key] = [family_slice(F, coords_of(J), coords_of(B)).members
+                               for F, B in zip(families, key[1:])]
+            for p, members in zip(petals, slices[key]):
+                ev2[rows] &= _is_member(p[rows], members)
+        mismatches += int(np.count_nonzero(ev1 != ev2))
     return {"samples": samples, "mismatches": mismatches}

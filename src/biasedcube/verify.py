@@ -307,12 +307,10 @@ def checks_families(rng, tol: float) -> list:
                   families.family_slice(star, [1], []).measure == 0.0, 0.0))
 
     F = SetFamily.random(10, 3, 0.4, seed=5)
+    # the inner slice drops coordinate 2, so original coordinate 4 becomes 3
     a = families.family_slice(families.family_slice(F, [2], [2]), [3], [])
-    # composing slices: careful, inner slice reindexes; compare against direct
     direct = families.family_slice(F, [2, 4], [2])
-    ok = a.n == direct.n and a.k == direct.k  # structural smoke only
-    b = families.family_slice(F, [2, 4], [2])
-    out.append(_c("families.slice_compose_shapes", ok, float(len(b.members))))
+    out.append(_c("families.slice_compose_shapes", a == direct, float(len(direct.members))))
 
     F8 = SetFamily.random(8, 3, 0.5, seed=6)
     e = float(np.max(np.abs(families.lift(F8).values - families.lift_direct(F8).values)))

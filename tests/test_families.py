@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biasedcube import cube, families
+from biasedcube import cube, families, verify
 from biasedcube.cube import mask_of
 from biasedcube.families import JuntaFamily, SetFamily
 from biasedcube.noise import CouplingParams
@@ -63,6 +63,30 @@ class TestSlices:
                 continue
             total += len(families.family_slice(F, J, B).members)
         assert total == len(F.members)
+
+    def test_composed_slice_equals_direct(self):
+        # slicing at 2 reindexes the ground set, so original 4 becomes 3
+        F = SetFamily.random(10, 3, 0.4, seed=5)
+        inner = families.family_slice(F, [2], [2])
+        assert families.family_slice(inner, [3], []) == families.family_slice(F, [2, 4], [2])
+
+    def test_verify_compose_check_compares_members(self, monkeypatch):
+        # a slice that keeps n and k but loses a member must fail the check
+        real = families.family_slice
+
+        def lossy(F, J, B):
+            sl = real(F, J, B)
+            if list(J) != [3]:
+                return sl
+            return families.SetFamily(sl.n, sl.k, frozenset(sorted(sl.members)[1:]))
+
+        def compose_check():
+            checks = verify.checks_families(np.random.default_rng(0), 1e-9)
+            return next(c for c in checks if c["name"] == "families.slice_compose_shapes")
+
+        assert compose_check()["passed"]
+        monkeypatch.setattr(families, "family_slice", lossy)
+        assert not compose_check()["passed"]
 
 
 class TestLift:

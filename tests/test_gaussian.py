@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from biasedcube import cube, gaussian
 from biasedcube.cube import DenseFunction
@@ -25,6 +26,20 @@ class TestPhi:
         for mu in (0.0, 1.0, -0.1):
             with pytest.raises(ValueError):
                 phi_inv(mu)
+
+    def test_phi_inv_deep_tail(self):
+        # thresholds below -10 lie outside a [-10, 10] bisection bracket
+        assert abs(Phi(phi_inv(1e-30)) - 1e-30) <= 1e-12 * 1e-30
+        assert phi_inv(1e-30) < -11.0
+
+    @given(st.one_of(st.floats(1e-300, 0.5),
+                     st.floats(-300.0, math.log10(0.5)).map(lambda e: 10.0 ** e)))
+    def test_phi_inv_round_trip_lower_half_relative(self, mu):
+        assert abs(Phi(phi_inv(mu)) - mu) <= 1e-12 * mu
+
+    @given(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True))
+    def test_phi_inv_round_trip_upper_half_absolute(self, mu):
+        assert abs(Phi(phi_inv(mu)) - mu) <= 1e-15
 
 
 class TestLambda:
@@ -55,6 +70,18 @@ class TestLambda:
     def test_bounded_by_min(self):
         v = lambda_rho(0.7, 0.25, 0.6)
         assert 0.25 * 0.6 - 1e-12 <= v <= 0.25 + 1e-12
+
+    def test_tail_threshold_bounded_by_min(self):
+        # with phi_inv(1e-30) clipped to the old bracket this read 1.37e-25
+        assert 0.0 < lambda_rho(0.999999, 1e-30, 0.5) <= 1e-30
+
+    @given(st.floats(0.0, 1.0, exclude_max=True),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_frechet_bounds(self, rho, mu, nu):
+        # lambda_rho is accurate to its absolute quadrature tolerance 1e-10,
+        # which is the only slack allowed here
+        v = lambda_rho(rho, mu, nu)
+        assert max(0.0, mu + nu - 1.0) - 1e-10 <= v <= min(mu, nu) + 1e-10
 
     def test_against_mc(self):
         est, se = gaussian.lambda_mc(0.6, 0.3, 0.7, samples=2_000_000, seed=5)

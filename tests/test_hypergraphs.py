@@ -1,12 +1,12 @@
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 
-from biasedcube import hypergraphs as hg
-from biasedcube.cube import mask_of
+from biasedcube import cube, hypergraphs as hg
+from biasedcube.cube import coords_of, mask_of
 from biasedcube.families import JuntaFamily, SetFamily
 from biasedcube.hypergraphs import (
     FreenessInconclusive,
@@ -264,3 +264,56 @@ class TestTraceProbability:
         H = matching_hypergraph(2, 2)
         est, se = hg.trace_probability_order(H, [1], (mask_of([2]), 0), 10, 10, 0)
         assert est == 0.0 and se == 0.0
+
+
+class TestBatchedDraws:
+    """Laws of the batched copy draws, at fixed seeds with 4-sigma bands."""
+
+    def test_injections_uniform_over_ordered_pairs(self):
+        # chi-square over all 20 ordered pairs of distinct points of [5]
+        n, draws = 5, 100_000
+        H = Hypergraph(2, (0b11,))
+        images = hg._random_images(H, n, np.random.default_rng(31), draws)
+        assert np.all(images[:, 0] != images[:, 1])
+        counts = np.bincount(images[:, 0] * n + images[:, 1], minlength=n * n)
+        counts = counts[[a * n + b for a in range(n) for b in range(n) if a != b]]
+        expected = draws / len(counts)
+        stat = float(np.sum((counts - expected) ** 2 / expected))
+        dof = len(counts) - 1
+        # Wilson-Hilferty quantile at z = 4
+        crit = dof * (1.0 - 2.0 / (9.0 * dof) + 4.0 * math.sqrt(2.0 / (9.0 * dof))) ** 3
+        assert stat < crit
+
+    def test_trace_probability_matches_injection_enumeration(self):
+        n = 7
+        H = sunflower_hypergraph(2, 3)
+        verts = coords_of(H.support())
+        J = [1, 4, 6]
+        jmask = mask_of(J)
+        for trace, seed in (((mask_of([1]), mask_of([1])), 41),
+                            ((mask_of([4]), mask_of([1, 4])), 42),
+                            ((mask_of([6]), 0), 43)):
+            hits = total = 0
+            for image in permutations(range(1, n + 1), len(verts)):
+                vmap = dict(zip(verts, image))
+                copy = [mask_of(vmap[v] for v in coords_of(e)) for e in H.edges]
+                total += 1
+                hits += all((e & jmask) == B for e, B in zip(copy, trace))
+            exact = hits / total
+            est, se = hg.trace_probability_order(H, J, trace, n, 20_000, seed=seed)
+            assert exact > 0.0
+            assert abs(est - exact) < 4 * se
+
+    def test_object_masks_above_62_bits(self):
+        # n = 66 masks do not fit int64; both petals must meet at 1
+        est, se = hg.almost_free_estimate(SetFamily.star(66, 2), sunflower_hypergraph(2, 2),
+                                          20_000, seed=44)
+        assert abs(est - 1.0 / 66) < 4 * se
+
+    def test_estimate_independent_of_chunk_size(self, monkeypatch):
+        # chunks read consecutive rows of one stream of uniforms
+        F = SetFamily.random(9, 3, 0.5, seed=45)
+        H = sunflower_hypergraph(2, 3)
+        whole = hg.almost_free_estimate(F, H, 5_000, seed=46)
+        monkeypatch.setattr(cube, "_DRAW_CHUNK", 7)
+        assert hg.almost_free_estimate(F, H, 5_000, seed=46) == whole

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from biasedcube import matchings
 from biasedcube.cube import mask_of
 from biasedcube.families import SetFamily
-from biasedcube.hypergraphs import sunflower_hypergraph
+from biasedcube.hypergraphs import Hypergraph, sunflower_hypergraph
 from biasedcube.matchings import MatchingSpec, sample
 
 
@@ -161,4 +162,58 @@ class TestEventEquivalence:
         H = sunflower_hypergraph(2, 2)
         fams = [SetFamily.star(8, 2), SetFamily.full(8, 2)]
         out = matchings.expanded_event_equivalence(H, fams, samples=3_000, seed=10)
+        assert out["mismatches"] == 0
+
+
+class TestBatchedDraws:
+    """Laws of the batched matching draws, at fixed seeds with 4-sigma bands."""
+
+    def test_acceptance_rate_matches_multinomial(self):
+        for (n, h, k), seed in (((12, 3, 3), 51), ((10, 2, 4), 52), ((9, 3, 2), 53)):
+            ways = sum(math.factorial(n) // math.prod(math.factorial(c) for c in counts)
+                       for counts in product(range(k, n + 1), repeat=h)
+                       if sum(counts) == n)
+            exact = ways / h ** n
+            trials = 20_000
+            rate = matchings.acceptance_rate(MatchingSpec(n, "conditioned", h=h, k=k),
+                                             trials, seed)
+            assert abs(rate - exact) < 4 * math.sqrt(exact * (1 - exact) / trials)
+
+    def test_event_equivalence_goes_through_slices(self, monkeypatch):
+        H = sunflower_hypergraph(2, 3)
+        fams = [SetFamily.random(9, 3, 0.5, seed=s) for s in (1, 2)]
+        assert matchings.expanded_event_equivalence(H, fams, 2_000, seed=54)["mismatches"] == 0
+        real = matchings.family_slice
+
+        def wrong(F, J, B):  # drops every member of every slice
+            sl = real(F, J, B)
+            return SetFamily(sl.n, sl.k, frozenset())
+
+        monkeypatch.setattr(matchings, "family_slice", wrong)
+        assert matchings.expanded_event_equivalence(H, fams, 2_000, seed=54)["mismatches"] > 0
+
+    def test_event_equivalence_three_center_vertices(self):
+        # a triangle of 3-edges: J has three bits to squeeze out of each petal
+        H = Hypergraph(6, (mask_of([1, 2, 4]), mask_of([2, 3, 5]), mask_of([1, 3, 6])))
+        assert bin(H.center()).count("1") == 3
+        fams = [SetFamily.random(10, 3, 0.6, seed=s) for s in (61, 62, 63)]
+        out = matchings.expanded_event_equivalence(H, fams, 3_000, seed=64)
+        assert out == {"samples": 3_000, "mismatches": 0}
+
+    def test_object_masks_above_62_bits(self):
+        n = 70
+        spec = MatchingSpec(n, "uniform", sizes=(3, 2))
+        rng = np.random.default_rng(55)
+        for _ in range(50):
+            a, b = sample(spec, rng)
+            assert type(a) is int and a >> n == 0 and a & b == 0
+            assert (bin(a).count("1"), bin(b).count("1")) == (3, 2)
+        parts = sample(MatchingSpec(n, "biased", h=3), rng)
+        assert sum(parts) == (1 << n) - 1 and sum(bin(p).count("1") for p in parts) == n
+        fams = [SetFamily(n, 1, frozenset([1])), SetFamily.full(n, 1)]
+        est, se = matchings.cross_probability_mc(n, (1, 1), fams, 20_000, seed=56)
+        assert abs(est - 1.0 / n) < 4 * se
+        H = sunflower_hypergraph(2, 2)
+        out = matchings.expanded_event_equivalence(
+            H, [SetFamily.star(66, 2), SetFamily.random(66, 2, 0.5, seed=57)], 500, seed=58)
         assert out["mismatches"] == 0
