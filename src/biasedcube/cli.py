@@ -20,10 +20,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .cube import DenseFunction
+from .cube import DenseFunction, _check_n, popcounts
 from .families import SetFamily
 from .gaussian import lambda_rho
-from .hypergraphs import Hypergraph, matching_hypergraph, sunflower_hypergraph
+from .hypergraphs import Hypergraph, WorkBoundExceeded, matching_hypergraph, sunflower_hypergraph
 from .matchings import cross_probability_exact, cross_probability_mc
 from .removal import removal_pipeline, threshold_curve
 from .verify import run_battery
@@ -86,9 +86,9 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 _NAMED_FUNCTIONS = {
-    "or": lambda n: DenseFunction.from_predicate(n, lambda x: x != 0),
-    "and": lambda n: DenseFunction.from_predicate(n, lambda x: x == (1 << n) - 1),
-    "maj": lambda n: DenseFunction.from_predicate(n, lambda x: bin(x).count("1") > n // 2),
+    "or": lambda n: DenseFunction(n, np.arange(1 << n) != 0, boolean=True),
+    "and": lambda n: DenseFunction(n, np.arange(1 << n) == (1 << n) - 1, boolean=True),
+    "maj": lambda n: DenseFunction(n, popcounts(n) > n // 2, boolean=True),
     "dictator": lambda n: DenseFunction.dictator(n, 1),
 }
 
@@ -104,6 +104,7 @@ def _load_function(spec: str, n: int, max_n: int) -> DenseFunction:
         if spec not in _NAMED_FUNCTIONS:
             raise ValueError(f"unknown function {spec!r}; options: "
                              f"{sorted(_NAMED_FUNCTIONS)} or file:PATH")
+        _check_n(n)  # before a table of 2^n entries is built
         f = _NAMED_FUNCTIONS[spec](n)
     if f.n > max_n:
         raise ValueError(f"function dimension {f.n} exceeds --max-n {max_n}")
@@ -161,15 +162,17 @@ def _check_max_n(n: int, max_n: int) -> None:
 def cmd_count(cfg: RunConfig) -> int:
     n = cfg.extra["n"]
     _check_max_n(n, cfg.max_n)
-    sizes = cfg.extra["sizes"]
-    fams = [_load_family(s, n, k) for s, k in zip(cfg.extra["families"], sizes)]
+    sizes, specs = cfg.extra["sizes"], cfg.extra["families"]
+    if len(specs) > len(sizes):  # fewer specs fail the families check below
+        raise ValueError(f"{len(specs)} family specs for {len(sizes)} parts")
+    fams = [_load_family(s, n, k) for s, k in zip(specs, sizes)]
     body: dict = {"n": n, "sizes": sizes,
                   "measures": [F.measure for F in fams]}
     try:
         exact = cross_probability_exact(n, sizes, fams)
         body["probability"] = float(exact)
         body["probability_exact"] = _rational(exact)
-    except ValueError as exc:
+    except WorkBoundExceeded as exc:
         body["exact_refused"] = str(exc)
     est, se = cross_probability_mc(n, sizes, fams, cfg.samples, cfg.seed)
     body["mc"] = {"probability": est, "stderr": se}
@@ -249,11 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit:
-        raise
+    args = build_parser().parse_args(argv)
     cfg = RunConfig(command=args.command, seed=args.seed, tolerance=args.tol,
                     out=args.out, fmt=args.format, max_n=args.max_n,
                     samples=args.samples)

@@ -67,6 +67,12 @@ def _draw_chunks(samples: int) -> list:
     return [min(_DRAW_CHUNK, samples - done) for done in range(0, samples, _DRAW_CHUNK)]
 
 
+def _binomial_estimate(hits: int, samples: int) -> tuple[float, float]:
+    """Hit fraction with its binomial standard error."""
+    est = hits / samples
+    return est, math.sqrt(max(est * (1.0 - est), 1e-300) / samples)
+
+
 def _bit_weights(n: int) -> np.ndarray:
     """The weights 1 << j of the bits j < n; a mask is their sum over its bits.
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cube import Spectrum, level_powers
+from .cube import Spectrum, _binomial_estimate, level_powers
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -132,9 +132,7 @@ def lambda_mc(rho: float, mu: float, nu: float, samples: int, seed: int) -> tupl
         y = rho * x + s * rng.standard_normal(m)
         hits += int(np.count_nonzero((x < t_mu) & (y < t_nu)))
         done += m
-    est = hits / samples
-    stderr = math.sqrt(max(est * (1.0 - est), 1e-300) / samples)
-    return est, stderr
+    return _binomial_estimate(hits, samples)
 
 
 def lambda_gap(eps: float) -> float:

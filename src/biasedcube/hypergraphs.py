@@ -1,5 +1,6 @@
 """Hypergraph structure operations: center, k-expansion, resolution,
-traces, freeness of junta families, and almost-freeness counting.
+traces, freeness of junta families, and copy counting: the chance that
+a uniform random copy of H has its i-th edge in F_i, exact or estimated.
 
 A hypergraph is an ordered list of edge bitmasks over an explicit vertex
 universe.  A resolution at a vertex set S replaces each occurrence of a
@@ -17,8 +18,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .cube import (_bit_weights, _draw_chunks, _is_member, _uniform_orders, coords_of,
-                   mask_of)
+from .cube import (_binomial_estimate, _bit_weights, _draw_chunks, _is_member,
+                   _uniform_orders, coords_of, mask_of)
 from .families import JuntaFamily, SetFamily
 
 
@@ -86,12 +87,21 @@ class Hypergraph:
 
 def matching_hypergraph(h: int, k: int) -> Hypergraph:
     """M_h: h pairwise disjoint k-edges."""
+    return _block_hypergraph([k] * h)
+
+
+def _block_hypergraph(sizes) -> Hypergraph:
+    """Consecutive disjoint blocks of [sum(sizes)], one edge per size.
+
+    A uniform random copy is a uniform ordered disjoint tuple with these
+    part sizes.  Zero sizes give empty edges, which may repeat.
+    """
     edges = []
-    v = 1
-    for _ in range(h):
-        edges.append(mask_of(range(v, v + k)))
+    v = 0
+    for k in sizes:
+        edges.append(mask_of(range(v + 1, v + k + 1)))
         v += k
-    return Hypergraph(v - 1, tuple(edges))
+    return Hypergraph(v, tuple(edges), allow_repeats=0 in sizes)
 
 
 def sunflower_hypergraph(h: int, k: int) -> Hypergraph:
@@ -214,8 +224,7 @@ def _trace_embeds(trace, jf: JuntaFamily) -> bool:
     return False
 
 
-def junta_is_Hs_free(jf: JuntaFamily, H: Hypergraph, s: int,
-                     strict: bool = True) -> bool:
+def junta_is_Hs_free(jf: JuntaFamily, H: Hypergraph, s: int) -> bool:
     """(H, s)-freeness of the generated family, decided through traces.
 
     The family is free of resolutions-with-small-center exactly when no
@@ -224,28 +233,21 @@ def junta_is_Hs_free(jf: JuntaFamily, H: Hypergraph, s: int,
     h*k <= n - |J| guarantees disjoint completions outside J (so a found
     trace really yields a copy), and k >= max_i |A_i cap center(H)| + |J|
     guarantees every copy leaves a visible trace (each edge keeps enough
-    private vertices).  With strict=True a verdict whose supporting
-    condition fails raises FreenessInconclusive.
+    private vertices).  A verdict whose supporting condition fails raises
+    FreenessInconclusive.
     """
     Hk = k_expand(H, jf.k)
     n, k, h = jf.n, jf.k, Hk.h
     center = Hk.center()
     c_max = max((bin(e & center).count("1") for e in Hk.edges), default=0)
-    completion_ok = h * k <= n - len(jf.J)
-    visibility_ok = k >= c_max + len(jf.J)
 
-    found = False
-    for trace in traces(Hk, support_bound=len(jf.J), center_bound=s):
-        if _trace_embeds(trace, jf):
-            found = True
-            break
-
-    if found:
-        if strict and not completion_ok:
+    if any(_trace_embeds(trace, jf)
+           for trace in traces(Hk, support_bound=len(jf.J), center_bound=s)):
+        if h * k > n - len(jf.J):
             raise FreenessInconclusive(
                 f"trace found but h*k={h*k} > n-|J|={n - len(jf.J)}")
         return False
-    if strict and not visibility_ok:
+    if k < c_max + len(jf.J):
         raise FreenessInconclusive(
             f"no trace found but k={k} < c_max+|J|={c_max + len(jf.J)}")
     return True
@@ -313,55 +315,70 @@ def _random_images(H: Hypergraph, n: int, rng, m: int) -> np.ndarray:
     return _uniform_orders(rng, m, n)[:, :v]
 
 
-def almost_free_estimate(F: SetFamily, H: Hypergraph, samples: int,
-                         seed: int) -> tuple[float, float]:
-    """Fraction of uniform random copies of H lying entirely inside F."""
-    for e in H.edges:
-        if bin(e).count("1") != F.k:
-            raise ValueError("edge sizes must match the family uniformity")
+def _random_copies(H: Hypergraph, n: int, rng, m: int) -> list:
+    """Edge masks of m uniform random copies of H in [n], one array per edge."""
+    return _copy_masks(H, _random_images(H, n, rng, m), _bit_weights(n))
+
+
+def _inside(copies: list, families, m: int) -> np.ndarray:
+    """Which of m copies have their i-th edge in families[i] for every i."""
+    inside = np.ones(m, dtype=bool)
+    for masks, F in zip(copies, families):
+        inside &= _is_member(masks, F.members)
+    return inside
+
+
+def _check_families(n: int, families, H: Hypergraph) -> None:
+    """One family per edge of H, all on [n], each as uniform as its edge,
+    and room in [n] for a copy of H."""
+    if len(families) != H.h:
+        raise ValueError(f"one family per edge or part required, got "
+                         f"{len(families)} for {H.h}")
+    for i, (e, F) in enumerate(zip(H.edges, families)):
+        if F.n != n:
+            raise ValueError(f"family {i + 1} lives on [{F.n}], not on [{n}]")
+        if F.k != e.bit_count():
+            raise ValueError(f"edge sizes must match the family uniformity: edge "
+                             f"{i + 1} has size {e.bit_count()}, its family {F.k}")
+    if H.support().bit_count() > n:
+        raise ValueError("not enough vertices to host a copy")
+
+
+def _estimate_inside(n: int, families, H: Hypergraph, samples: int,
+                     seed: int) -> tuple[float, float]:
+    """MC estimate of the chance that a uniform random copy of H in [n] has
+    its i-th edge in families[i] for every i."""
+    _check_families(n, families, H)
     rng = np.random.default_rng(seed)
-    weights = _bit_weights(F.n)
     hits = 0
     for m in _draw_chunks(samples):
-        copies = _copy_masks(H, _random_images(H, F.n, rng, m), weights)
-        inside = np.ones(m, dtype=bool)
-        for masks in copies:
-            inside &= _is_member(masks, F.members)
-        hits += int(np.count_nonzero(inside))
-    est = hits / samples
-    stderr = math.sqrt(max(est * (1.0 - est), 1e-300) / samples)
-    return est, stderr
+        hits += int(np.count_nonzero(_inside(_random_copies(H, n, rng, m), families, m)))
+    return _binomial_estimate(hits, samples)
 
 
-def almost_free_exact(F: SetFamily, H: Hypergraph,
-                      work_bound: int = 10 ** 8) -> Fraction:
-    """Exact probability that a uniform random copy of H lies inside F.
+def _count_inside(n: int, families, H: Hypergraph, work_bound: int) -> Fraction:
+    """Exact chance that a uniform random copy of H in [n] has its i-th edge
+    in families[i] for every i.
 
     A uniform injection of the support induces the uniform distribution
     over ordered edge tuples sharing H's Venn signature, and each tuple
     is hit by exactly prod |cell|! injections.  So the probability is
-    (#signature-matching tuples inside F) * prod |cell|! / (n)_v.
+    (#signature-matching tuples inside prod F_i) * prod |cell|! / (n)_v.
 
-    The matching tuples are counted by depth-first search over members of
-    F.  Venn cell sizes and the intersection sizes |cap_{i in T} A_i| over
-    nonempty sets T of edge positions determine each other (Moebius
-    inversion), so a candidate joins a prefix only when its intersections
-    with the prefix's running intersections have the target sizes; the
-    leaves are exactly the matching tuples.  Pruning changes only the
-    time: the work bound still refuses when (n)_v or |F|**h exceeds it.
+    The matching tuples are counted by depth-first search, position i
+    drawing from families[i].  Venn cell sizes and the intersection sizes
+    |cap_{i in T} A_i| over nonempty sets T of edge positions determine
+    each other (Moebius inversion), so a candidate joins a prefix only
+    when its intersections with the prefix's running intersections have
+    the target sizes; the leaves are exactly the matching tuples.  Pruning
+    changes only the time: the work bound still refuses when the number of
+    unpruned leaves, prod max(|F_i|, 1), exceeds it.
     """
-    for e in H.edges:
-        if bin(e).count("1") != F.k:
-            raise ValueError("edge sizes must match the family uniformity")
-    v = bin(H.support()).count("1")
-    total_inj = math.perm(F.n, v)
-    if total_inj > work_bound:
-        raise WorkBoundExceeded("work bound exceeded; use almost_free_estimate")
+    _check_families(n, families, H)
+    if math.prod(max(len(F.members), 1) for F in families) > work_bound:
+        raise WorkBoundExceeded("work bound exceeded; use the Monte-Carlo estimate")
     h = H.h
-    target = _venn_signature(H.edges)
-    members = sorted(F.members)
-    if len(members) ** h > work_bound:
-        raise WorkBoundExceeded("work bound exceeded; use almost_free_estimate")
+    member_lists = [sorted(F.members) for F in families]
 
     # sizes[T] = |cap_{i in T} A_i| for each nonempty bitmask T of positions
     sizes = [0] * (1 << h)
@@ -377,7 +394,7 @@ def almost_free_exact(F: SetFamily, H: Hypergraph,
         # nonempty T over positions < d.  A new member b at position d forms
         # T | (1 << d): b itself for T = 0 (a k-set, like A_d), else
         # inters[T - 1] & b, whose size must be sizes[T | (1 << d)].
-        cands = members
+        cands = member_lists[d]
         for m, w in zip(inters, sizes[(1 << d) + 1:2 << d]):
             cands = [b for b in cands if (m & b).bit_count() == w]
         if d + 1 == h:
@@ -386,10 +403,28 @@ def almost_free_exact(F: SetFamily, H: Hypergraph,
                    for b in cands)
 
     matches = count([], 0) if h else 1  # an edgeless H has one copy: ()
-    cell_perms = 1
-    for c in target:
-        cell_perms *= math.factorial(c)
-    return Fraction(matches * cell_perms, total_inj)
+    cell_perms = math.prod(math.factorial(c) for c in _venn_signature(H.edges))
+    return Fraction(matches * cell_perms, math.perm(n, H.support().bit_count()))
+
+
+def almost_free_estimate(F: SetFamily, H: Hypergraph, samples: int,
+                         seed: int) -> tuple[float, float]:
+    """Fraction of uniform random copies of H lying entirely inside F."""
+    return _estimate_inside(F.n, [F] * H.h, H, samples, seed)
+
+
+def almost_free_exact(F: SetFamily, H: Hypergraph,
+                      work_bound: int = 10 ** 8) -> Fraction:
+    """Exact probability that a uniform random copy of H lies inside F.
+
+    Counted by the pruned search of _count_inside with F at every edge.
+    The work bound refuses when (n)_v or |F|**h exceeds it.
+    """
+    families = [F] * H.h
+    _check_families(F.n, families, H)  # a malformed input is no refused bound
+    if math.perm(F.n, H.support().bit_count()) > work_bound:
+        raise WorkBoundExceeded("work bound exceeded; use almost_free_estimate")
+    return _count_inside(F.n, families, H, work_bound)
 
 
 def trace_probability_order(H: Hypergraph, J, trace, n: int, samples: int,
@@ -404,15 +439,11 @@ def trace_probability_order(H: Hypergraph, J, trace, n: int, samples: int,
         if B & ~jmask:
             return 0.0, 0.0
     rng = np.random.default_rng(seed)
-    weights = _bit_weights(n)
     jmask_n = jmask & ((1 << n) - 1)  # copies live in [n]
     hits = 0
     for m in _draw_chunks(samples):
-        copies = _copy_masks(H, _random_images(H, n, rng, m), weights)
         match = np.ones(m, dtype=bool)
-        for masks, B in zip(copies, trace):
+        for masks, B in zip(_random_copies(H, n, rng, m), trace):
             match &= (masks & jmask_n) == B
         hits += int(np.count_nonzero(match))
-    est = hits / samples
-    stderr = math.sqrt(max(est * (1.0 - est), 1e-300) / samples)
-    return est, stderr
+    return _binomial_estimate(hits, samples)

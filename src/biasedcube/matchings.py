@@ -4,9 +4,12 @@ Three samplers: the uniform ordered disjoint tuple (consecutive slices of
 a uniform random order of [n]), the 1/h-biased matching (bucket each
 element by which of h intervals its uniform variable falls into), and the
 conditioned variant that rejects until every bucket holds at least k
-elements.  Cross probabilities Pr[A_i in F_i for all i] come exactly by
-nested enumeration or by MC; the MC estimators draw their samples in
-batches, one array row per sample.
+elements.  A uniform ordered disjoint tuple is a uniform random copy of
+the hypergraph of consecutive disjoint blocks with the part sizes, so the
+cross probabilities Pr[A_i in F_i for all i] are copy probabilities with
+one family per edge, counted exactly or estimated by the hypergraphs
+cores.  The MC estimators draw their samples in batches, one array row
+per sample.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .cube import (_bit_weights, _draw_chunks, _is_member, _uniform_buckets, _uniform_orders,
-                   coords_of, mask_of)
+from .cube import _bit_weights, _draw_chunks, _is_member, _uniform_buckets, coords_of, mask_of
 from .families import SetFamily, family_slice
-from .hypergraphs import Hypergraph, _copy_masks, _random_images
+from .hypergraphs import (Hypergraph, _block_hypergraph, _check_families, _copy_masks,
+                          _count_inside, _estimate_inside, _inside, _random_copies,
+                          _random_images)
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,8 @@ def sample(spec: MatchingSpec, seed, max_tries: int = 10_000) -> tuple:
     """One draw from the spec's distribution, as a tuple of disjoint masks."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if spec.mode == "uniform":
-        return tuple(int(p[0]) for p in _uniform_parts(rng, 1, spec.n, spec.sizes))
+        copy = _random_copies(_block_hypergraph(spec.sizes), spec.n, rng, 1)
+        return tuple(int(masks[0]) for masks in copy)
     if spec.mode == "biased":
         return _sample_biased(spec.n, spec.h, rng)
     # conditioned: reject until every bucket has >= k elements
@@ -63,14 +68,6 @@ def sample(spec: MatchingSpec, seed, max_tries: int = 10_000) -> tuple:
     raise RuntimeError(
         f"rejection budget exhausted after {max_tries} tries "
         f"(acceptance rate below {1.0 / max_tries:.2e})")
-
-
-def _uniform_parts(rng, m: int, n: int, sizes) -> list:
-    """Part masks of m uniform ordered disjoint tuples, one array per part."""
-    orders = _uniform_orders(rng, m, n)
-    weights = _bit_weights(n)
-    bounds = np.cumsum([0, *sizes])
-    return [weights[orders[:, a:b]].sum(axis=1) for a, b in zip(bounds, bounds[1:])]
 
 
 def _sample_biased(n: int, h: int, rng) -> tuple:
@@ -96,48 +93,18 @@ def acceptance_rate(spec: MatchingSpec, trials: int, seed: int) -> float:
 
 def cross_probability_exact(n: int, sizes, families,
                             work_bound: int = 10 ** 8) -> Fraction:
-    """Exact Pr[A_i in F_i for all i] over uniform ordered disjoint tuples."""
-    h = len(sizes)
-    if len(families) != h:
-        raise ValueError("one family per part required")
-    work = 1
-    for F in families:
-        work *= max(len(F.members), 1)
-    if work > work_bound:
-        raise ValueError("work bound exceeded; use cross_probability_mc")
-    for F, k in zip(families, sizes):
-        if F.n != n or F.k != k:
-            raise ValueError("family shape mismatch")
+    """Exact Pr[A_i in F_i for all i] over uniform ordered disjoint tuples.
 
-    member_lists = [sorted(F.members) for F in families]
-
-    def rec(i, used):
-        if i == h:
-            return 1
-        return sum(rec(i + 1, used | m) for m in member_lists[i] if not (m & used))
-
-    num = rec(0, 0)
-    den = 1
-    left = n
-    for k in sizes:
-        den *= math.comb(left, k)
-        left -= k
-    return Fraction(num, den)
+    Refuses with WorkBoundExceeded when prod max(|F_i|, 1) exceeds the
+    work bound.
+    """
+    return _count_inside(n, families, _block_hypergraph(sizes), work_bound)
 
 
 def cross_probability_mc(n: int, sizes, families, samples: int,
                          seed: int) -> tuple[float, float]:
     """MC estimate with binomial standard error."""
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for m in _draw_chunks(samples):
-        inside = np.ones(m, dtype=bool)
-        for masks, F in zip(_uniform_parts(rng, m, n, sizes), families):
-            inside &= _is_member(masks, F.members)
-        hits += int(np.count_nonzero(inside))
-    est = hits / samples
-    stderr = math.sqrt(max(est * (1.0 - est), 1e-300) / samples)
-    return est, stderr
+    return _estimate_inside(n, families, _block_hypergraph(sizes), samples, seed)
 
 
 def conditioned_subsample_distribution(n: int, h: int, sizes) -> dict:
@@ -201,8 +168,7 @@ def uniform_matching_distribution(n: int, sizes) -> dict:
 
 def cross_probability_floor_battery(n: int, sizes, eps: float, trials: int,
                                     seed: int, floor: float = 1e-4,
-                                    samples: int = 4000, regularity_r: int = 1,
-                                    max_retries: int = 50) -> dict:
+                                    samples: int = 4000, regularity_r: int = 1) -> dict:
     """Random regular families of measure >= eps, with their MC cross
     probabilities checked against a configurable positive floor."""
     from .families import family_regular
@@ -211,7 +177,7 @@ def cross_probability_floor_battery(n: int, sizes, eps: float, trials: int,
     for t in range(trials):
         fams = []
         for k in sizes:
-            for _ in range(max_retries):
+            for _ in range(50):
                 F = SetFamily.random(n, k, max(2 * eps, 0.3),
                                      int(rng.integers(0, 2 ** 63)))
                 if F.measure >= eps and family_regular(F, regularity_r, 0.35):
@@ -245,9 +211,7 @@ def expanded_event_equivalence(H: Hypergraph, families, samples: int,
     """
     C = H.center()
     n = families[0].n
-    for e, F in zip(H.edges, families):
-        if bin(e).count("1") != F.k or F.n != n:
-            raise ValueError("family shape mismatch")
+    _check_families(n, families, H)
     rng = np.random.default_rng(seed)
     verts = coords_of(H.support())
     center_cols = [verts.index(v) for v in coords_of(C)]
@@ -258,9 +222,7 @@ def expanded_event_equivalence(H: Hypergraph, families, samples: int,
     for m in _draw_chunks(samples):
         images = _random_images(H, n, rng, m)
         copies = _copy_masks(H, images, weights)
-        ev1 = np.ones(m, dtype=bool)
-        for masks, F in zip(copies, families):
-            ev1 &= _is_member(masks, F.members)
+        ev1 = _inside(copies, families, m)
 
         centers = images[:, center_cols]
         jmasks = weights[centers].sum(axis=1)

@@ -261,14 +261,14 @@ def greedy_family_junta(F: SetFamily, j_max: int = 4, reg_delta: float = 0.25,
 
 
 def removal_pipeline(F: SetFamily, H: Hypergraph, s: int, seed: int = 0,
-                     samples: int = 20_000, ladder=None) -> dict:
+                     samples: int = 20_000) -> dict:
     """Four-stage removal experiment, returning a stage-keyed report.
 
     (a) almost-H-freeness of F (exact when affordable, else MC);
     (b) greedy junta approximation with the escaping mass mu(F minus <G>);
     (c) (H, s)-freeness of the junta via the trace predicate;
-    (d) converse decay: almost-freeness of the junta along an n-ladder,
-        checked against the n^-(s+1) rate with a factor-3 ratio band.
+    (d) converse decay: almost-freeness of the junta along the n-ladder
+        n, n+2, n+4, checked against the n^-(s+1) rate with a factor-3 ratio band.
     """
     if F.n > 14 or bin(H.support()).count("1") > 8:
         raise ValueError("pipeline is desk-scale: n <= 14, |V(H)| <= 8")
@@ -298,10 +298,8 @@ def removal_pipeline(F: SetFamily, H: Hypergraph, s: int, seed: int = 0,
         report["freeness"] = {"free": None, "inconclusive": str(exc)}
 
     # (d)
-    if ladder is None:
-        ladder = [F.n, F.n + 2, F.n + 4]
     decay = []
-    for n2 in ladder:
+    for n2 in (F.n, F.n + 2, F.n + 4):
         jf2 = JuntaFamily(n2, F.k, jf.J, jf.G)
         gen2 = jf2.generated()
         try:

@@ -1,6 +1,7 @@
 import json
 
 import jsonschema
+import numpy as np
 import pytest
 
 from biasedcube import cli
@@ -91,6 +92,18 @@ class TestCurve:
         mu = json.loads(out)["body"]["curve"]["mu"]
         assert abs(mu[0] - (1 - 0.8 ** 4)) < 1e-12
 
+    def test_named_tables_match_predicates(self):
+        from biasedcube.cube import DenseFunction
+        preds = {"or": lambda n: lambda x: x != 0,
+                 "and": lambda n: lambda x: x == (1 << n) - 1,
+                 "maj": lambda n: lambda x: bin(x).count("1") > n // 2}
+        for name, pred in preds.items():
+            for n in range(1, 11):
+                f = cli._NAMED_FUNCTIONS[name](n)
+                g = DenseFunction.from_predicate(n, pred(n))
+                assert f.boolean and f.values.dtype == g.values.dtype
+                assert np.array_equal(f.values, g.values), (name, n)
+
 
 class TestLambda:
     def test_grid_values(self, capsys):
@@ -146,6 +159,27 @@ class TestCount:
         code, _, err = run(["count", "--n", "4", "--sizes", "1",
                             "--families", "bogus"], capsys)
         assert code == 2 and "unknown family" in err
+
+    def test_family_count_must_match_parts_exit_2(self, capsys):
+        for specs in ("star", "star,star,full"):
+            code, out, err = run(["count", "--n", "9", "--sizes", "3,3",
+                                  "--families", specs], capsys)
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_parts_larger_than_ground_set_exit_2(self, capsys):
+        code, out, err = run(["count", "--n", "4", "--sizes", "3,3",
+                              "--families", "full,full"], capsys)
+        assert code == 2 and out == "" and "not enough vertices" in err
+
+    def test_family_file_on_other_ground_set_exit_2(self, tmp_path, capsys):
+        from biasedcube.families import SetFamily
+        path = tmp_path / "star8.txt"
+        path.write_text(SetFamily.star(8, 3).to_text())
+        code, out, err = run(["count", "--n", "9", "--sizes", "3,3", "--families",
+                              f"file:{path},file:{path}"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestRemoval:

@@ -127,6 +127,67 @@ class TestCrossProbability:
             matchings.cross_probability_exact(6, (2, 2), [SetFamily.full(6, 2)])
 
 
+def cross_by_tuples(n, sizes, fams):
+    """Oracle: the share of all ordered disjoint tuples lying inside prod F_i."""
+    tuples = matchings.uniform_matching_distribution(n, sizes)
+    inside = sum(all(m in F.members for m, F in zip(t, fams)) for t in tuples)
+    return Fraction(inside, len(tuples))
+
+
+class TestCrossOracle:
+    """cross_probability_exact counts copies of a block hypergraph; the
+    oracle enumerates the ordered disjoint tuples themselves."""
+
+    def test_exact_equals_tuple_enumeration(self):
+        rng = np.random.default_rng(91)
+        covered = set()
+        for trial in range(30):
+            n = 4 + trial % 5
+            h = 1 + trial % 3
+            sizes = [0] * h
+            for _ in range(int(rng.integers(h, n + 1))):  # grow random parts
+                sizes[int(rng.integers(h))] += 1
+            if trial % 4 == 0:
+                sizes[-1] = 0
+            fams = [SetFamily.random(n, k, float(rng.uniform(0.2, 0.9)),
+                                     seed=int(rng.integers(1 << 30))) for k in sizes]
+            if trial % 5 == 1 and h > 1 and sizes[0] == sizes[1]:
+                fams[1] = fams[0]
+            if trial % 7 == 3:
+                fams[-1] = SetFamily.empty(n, sizes[-1])
+            covered |= {("n", n), ("h", h)}
+            covered |= {"zero part"} if 0 in sizes else set()
+            covered |= {"same family"} if h > 1 and fams[0] is fams[1] else set()
+            covered |= {"empty family"} if any(not F.members for F in fams) else set()
+            exact = matchings.cross_probability_exact(n, sizes, fams)
+            assert exact == cross_by_tuples(n, sizes, fams), (n, sizes)
+        assert covered == {*(("n", n) for n in range(4, 9)), *(("h", h) for h in (1, 2, 3)),
+                           "zero part", "same family", "empty family"}
+
+    def test_mc_and_sample_streams_pinned(self):
+        # pinned outputs: a seed must keep reading the same uniforms into
+        # the same columns, whichever code path draws them
+        fa, fb = SetFamily.random(9, 3, 0.5, seed=71), SetFamily.random(9, 2, 0.4, seed=72)
+        assert matchings.cross_probability_mc(9, (3, 2), [fa, fb], 5_000, seed=73) == (
+            0.203, 0.005688426847556361)
+        fams = [SetFamily.full(7, 0), SetFamily.star(7, 2), SetFamily.full(7, 1)]
+        assert matchings.cross_probability_mc(7, (0, 2, 1), fams, 3_000, seed=74) == (
+            0.29, 0.008284523723988805)
+        assert [sample(MatchingSpec(10, "uniform", sizes=(3, 0, 2)), seed)
+                for seed in (75, 76)] == [(515, 0, 12), (304, 0, 576)]
+        rng = np.random.default_rng(77)
+        assert [sample(MatchingSpec(70, "uniform", sizes=(3, 2)), rng) for _ in range(2)] == [
+            (18446744076125470720, 281475043819520), (9147936743096448, 70368746274816)]
+
+    def test_ill_posed_inputs_refused_by_both(self):
+        star = SetFamily.star(9, 3)
+        for fams in ([star], [star, SetFamily.star(8, 3)], [star, SetFamily.star(9, 2)]):
+            with pytest.raises(ValueError):
+                matchings.cross_probability_exact(9, (3, 3), fams)
+            with pytest.raises(ValueError):
+                matchings.cross_probability_mc(9, (3, 3), fams, 100, seed=0)
+
+
 class TestDistributionEquality:
     def test_conditioned_subsample_equals_uniform(self):
         n, h, sizes = 6, 2, (2, 1)
