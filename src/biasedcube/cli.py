@@ -207,6 +207,20 @@ def _parse_floats(text: str) -> list:
     return [float(t) for t in text.split(",") if t]
 
 
+def _parse_grid(text: str) -> tuple:
+    """lo:hi:steps, with lo and hi in (0, 1) and steps >= 1."""
+    fields = text.split(":")
+    try:
+        lo, hi, steps = float(fields[0]), float(fields[1]), int(fields[2])
+        ok = len(fields) == 3 and 0.0 < lo < 1.0 and 0.0 < hi < 1.0 and steps >= 1
+    except (ValueError, IndexError):
+        ok = False
+    if not ok:
+        raise ValueError(f"--grid {text}: need lo:hi:steps with lo and hi in (0, 1) "
+                         "and steps >= 1")
+    return lo, hi, steps
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="biasedcube")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -257,12 +271,13 @@ def main(argv=None) -> int:
                     out=args.out, fmt=args.format, max_n=args.max_n,
                     samples=args.samples)
     try:
+        if args.samples < 1:
+            raise ValueError(f"--samples must be a positive integer, got {args.samples}")
         if args.command == "verify":
             return cmd_verify(cfg)
         if args.command == "curve":
-            lo, hi, steps = args.grid.split(":")
             cfg.extra = {"function": args.function, "n": args.n,
-                         "grid": (float(lo), float(hi), int(steps))}
+                         "grid": _parse_grid(args.grid)}
             return cmd_curve(cfg)
         if args.command == "lambda":
             cfg.extra = {"rho": _parse_floats(args.rho),

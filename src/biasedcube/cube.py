@@ -357,6 +357,40 @@ def restrict(f: DenseFunction, J, a) -> DenseFunction:
     return DenseFunction(m, f.values[idx], boolean=f.boolean, bounded=f.bounded)
 
 
+# (J, point) pairs per bincount in trace_sums: 2^16 was the fastest of 2^15..2^20
+# for all |J| = 4 at n = 14 on a 2-vCPU Xeon
+_TRACE_CHUNK = 1 << 16
+
+
+def trace_sums(points, weights, Js) -> np.ndarray:
+    """Total weight of the points on each trace, for every J in Js at once.
+
+    Entry [t, a] sums weights over the points x whose trace x cap Js[t] is
+    a, where bit idx of a holds coordinate Js[t][idx] in the caller's
+    order.  Every J in Js has one size j, so the result has shape
+    (len(Js), 2^j); an empty J gives one column, the total.  Points are
+    masks: int64, or Python ints in an object array above n = 62 as in
+    _bit_weights.  weights=None counts the points, in integers.
+    """
+    shifts = np.array(Js, dtype=np.int64, ndmin=2) - 1
+    rows, j = shifts.shape
+    points = np.asarray(points)
+    step = max(1, _TRACE_CHUNK // max(len(points), 1))
+    out = []
+    for lo in range(0, rows, step):
+        # one byte per point for each coordinate the chunk's J's use
+        chunk = shifts[lo:lo + step]
+        coords, cols = np.unique(chunk, return_inverse=True)
+        bits = ((points >> coords[:, None]) & 1).astype(np.uint8)[cols.reshape(chunk.shape)]
+        # each J gets its own 2^j bins
+        idx = np.repeat(np.arange(len(chunk), dtype=np.int64)[:, None] << j, len(points), axis=1)
+        for b in range(j):
+            idx |= bits[:, b].astype(np.int64) << b
+        w = None if weights is None else np.broadcast_to(weights, idx.shape).ravel()
+        out.append(np.bincount(idx.ravel(), w, minlength=len(chunk) << j).reshape(len(chunk), -1))
+    return np.concatenate(out)
+
+
 def average_over(f: DenseFunction, T, p: float) -> DenseFunction:
     """A_T f: expectation over a mu_p-random completion on T.
 

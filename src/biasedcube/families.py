@@ -17,8 +17,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .cube import (DenseFunction, apply_coordinatewise, coords_of, expectation, mask_of,
-                   popcounts)
+from .cube import (DenseFunction, _bit_weights, apply_coordinatewise, coords_of, expectation,
+                   mask_of, popcounts, trace_sums)
 from .noise import CouplingParams, cross_term
 
 
@@ -125,15 +125,6 @@ class JuntaFamily:
         return SetFamily(self.n, self.k, members)
 
 
-def _compact(mask: int, keep_coords) -> int:
-    """Reindex a mask onto the sorted coordinate list keep_coords."""
-    out = 0
-    for j, c in enumerate(keep_coords):
-        if mask & (1 << (c - 1)):
-            out |= 1 << j
-    return out
-
-
 def family_slice(F: SetFamily, J, B) -> SetFamily:
     """F_J^B: members containing exactly B inside J, with J cut away.
 
@@ -152,7 +143,7 @@ def family_slice(F: SetFamily, J, B) -> SetFamily:
         raise ValueError("slice ground set too small for its uniformity")
     jmask = mask_of(Jset)
     bmask = mask_of(Bset)
-    members = frozenset(_compact(m & ~jmask, rest)
+    members = frozenset(sum(1 << j for j, c in enumerate(rest) if m >> (c - 1) & 1)
                         for m in F.members if (m & jmask) == bmask)
     return SetFamily(len(rest), new_k, members)
 
@@ -216,23 +207,32 @@ def cut_stability_check(F: SetFamily, cp: CouplingParams, delta: float) -> float
     return value
 
 
+def _slice_measures(F: SetFamily, Js) -> np.ndarray:
+    """Measures of the slices F_J^B for every J in Js and every B inside J.
+
+    Entry [t, b] is mu(F_J^B) for J = Js[t] and B the coordinates of J at
+    the bits of b, as in cube.trace_sums; it is nan where |B| > k, so every
+    comparison with it is false.  The counts are integers, so each entry
+    is the float family_slice(F, J, B).measure.
+    """
+    j = len(Js[0])
+    members = np.fromiter(F.members, dtype=_bit_weights(F.n).dtype, count=len(F.members))
+    denom = np.array([math.comb(F.n - j, F.k - b) if b <= F.k else math.nan
+                      for b in range(j + 1)])
+    return trace_sums(members, None, Js) / denom[popcounts(j)]
+
+
 def is_fair(F: SetFamily, J, eps: float) -> bool:
     """Every slice F_J^B keeps at least a (1-eps) fraction of mu(F).
 
-    Slices whose ground set cannot host any (k-|B|)-set are skipped; they
-    are reported through slice's own error, not as unfairness.
+    Slices with |B| > k are empty by uniformity and are skipped.
     """
     Jset = sorted(set(J))
     if len(Jset) > F.n - F.k:
         raise ValueError("J too large: need |J| <= n - k")
-    base = F.measure
-    for size in range(0, len(Jset) + 1):
-        for B in combinations(Jset, size):
-            if len(B) > F.k:
-                continue
-            if family_slice(F, Jset, B).measure < (1.0 - eps) * base:
-                return False
-    return True
+    if Jset and not 1 <= Jset[0] <= Jset[-1] <= F.n:
+        raise ValueError("J leaves the ground set")
+    return not np.any(_slice_measures(F, [Jset]) < (1.0 - eps) * F.measure)
 
 
 def family_regular(F: SetFamily, r: int, delta: float) -> bool:
@@ -244,9 +244,7 @@ def family_regular(F: SetFamily, r: int, delta: float) -> bool:
         raise ValueError("need r <= n - k")
     base = F.measure
     for size in range(1, r + 1):
-        for J in combinations(range(1, F.n + 1), size):
-            for bsize in range(0, min(size, F.k) + 1):
-                for B in combinations(J, bsize):
-                    if abs(family_slice(F, J, B).measure - base) >= delta:
-                        return False
+        m = _slice_measures(F, list(combinations(range(1, F.n + 1), size)))
+        if np.any(np.abs(m - base) >= delta):
+            return False
     return True

@@ -71,9 +71,17 @@ def sample(spec: MatchingSpec, seed, max_tries: int = 10_000) -> tuple:
 
 
 def _sample_biased(n: int, h: int, rng) -> tuple:
-    idx = _uniform_buckets(rng, 1, n, h)[0]
+    return tuple(int(b) for b in _sample_biased_many(n, h, rng, 1)[0])
+
+
+def _sample_biased_many(n: int, h: int, rng, m: int) -> np.ndarray:
+    """(m, h) array of bucket masks of m successive 1/h-biased matchings.
+
+    Row r reads the same uniforms as the r-th of m _sample_biased calls.
+    """
+    idx = _uniform_buckets(rng, m, n, h)
     weights = _bit_weights(n)
-    return tuple(int(weights[idx == i].sum()) for i in range(h))
+    return np.stack([np.where(idx == i, weights, 0).sum(axis=1) for i in range(h)], axis=1)
 
 
 def acceptance_rate(spec: MatchingSpec, trials: int, seed: int) -> float:

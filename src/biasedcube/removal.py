@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube import DenseFunction, expectation, mask_of, noisy_influence, popcounts, restrict
-from .noise import CouplingParams, cross_term, is_regular, monotonicity_defect
-from .families import JuntaFamily, SetFamily, family_slice
+from .noise import CouplingParams, _submasks, cross_term, is_regular, monotonicity_defect
+from .families import JuntaFamily, SetFamily, _slice_measures
 from .hypergraphs import (
     FreenessInconclusive,
     Hypergraph,
@@ -37,26 +37,8 @@ class Decomposition:
     bad_mass: float
 
 
-def _part_restriction(f: DenseFunction, J, a_mask: int):
-    if not J:
-        return f
-    a = {c: 1 if a_mask & (1 << (c - 1)) else 0 for c in J}
-    return restrict(f, J, a)
-
-
-def _assignment_mass(J, a_mask: int, q: float) -> float:
-    m = 1.0
-    for c in J:
-        m *= q if a_mask & (1 << (c - 1)) else (1.0 - q)
-    return m
-
-
 def _assignment_masks(J):
-    bits = [1 << (c - 1) for c in J]
-    out = [0]
-    for b in bits:
-        out = [m for m in out] + [m | b for m in out]
-    return sorted(out)
+    return sorted(_submasks(mask_of(J)))
 
 
 def decompose(f: DenseFunction, q: float, rho: float, delta: float,
@@ -73,12 +55,12 @@ def decompose(f: DenseFunction, q: float, rho: float, delta: float,
     while True:
         statuses, diags, worst = {}, {}, None
         for a_mask in _assignment_masks(J):
-            mass = _assignment_mass(J, a_mask, q)
+            mass = math.prod((q if a_mask >> (c - 1) & 1 else 1.0 - q for c in J), start=1.0)
             if len(J) == f.n:
                 mean = float(f.values[a_mask])
                 infs = []
             else:
-                part = _part_restriction(f, J, a_mask)
+                part = restrict(f, J, a_mask)
                 mean = expectation(part, q)
                 infs = [noisy_influence(part, i, rho, q) for i in range(1, part.n + 1)]
             maxinf = max(infs, default=0.0)
@@ -228,36 +210,21 @@ def greedy_family_junta(F: SetFamily, j_max: int = 4, reg_delta: float = 0.25,
     some current slice is most sensitive, until every slice is nearly
     indifferent to every remaining coordinate; the generator keeps the
     slices of significant measure."""
-    base = F.measure
     J: list = []
     while len(J) < min(j_max, F.n - F.k):
-        best = None
-        for i in range(1, F.n + 1):
-            if i in J:
-                continue
-            cand = sorted(J + [i])
-            dev = 0.0
-            for bbits in range(1 << len(J)):
-                B = [c for idx, c in enumerate(J) if bbits >> idx & 1]
-                if len(B) + 1 > F.k:
-                    continue
-                with_i = family_slice(F, cand, B + [i]).measure
-                without_i = family_slice(F, cand, B).measure
-                dev = max(dev, abs(with_i - without_i))
-            if best is None or dev > best[0]:
-                best = (dev, i)
-        if best is None or best[0] < reg_delta:
+        rest = [i for i in range(1, F.n + 1) if i not in J]
+        # candidate i is the top bit of its row: the halves are B + [i] and B
+        m = _slice_measures(F, [J + [i] for i in rest])
+        dev = np.fmax.reduce(np.abs(m[:, 1 << len(J):] - m[:, :1 << len(J)]),
+                             axis=1, initial=0.0)
+        best = int(np.argmax(dev))  # the first maximum: the smallest such i
+        if dev[best] < reg_delta:
             break
-        J = sorted(J + [best[1]])
-    thr = 0.5 * base if g_threshold is None else g_threshold
-    G = []
-    for bbits in range(1 << len(J)):
-        B = [c for idx, c in enumerate(J) if bbits >> idx & 1]
-        if len(B) > F.k:
-            continue
-        if family_slice(F, J, B).measure >= thr:
-            G.append(mask_of(B))
-    return JuntaFamily(F.n, F.k, tuple(J), frozenset(G))
+        J = sorted(J + [rest[best]])
+    thr = 0.5 * F.measure if g_threshold is None else g_threshold
+    keep = np.flatnonzero(_slice_measures(F, [J])[0] >= thr)
+    G = frozenset(mask_of(c for idx, c in enumerate(J) if b >> idx & 1) for b in keep)
+    return JuntaFamily(F.n, F.k, tuple(J), G)
 
 
 def removal_pipeline(F: SetFamily, H: Hypergraph, s: int, seed: int = 0,

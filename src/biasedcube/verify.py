@@ -438,21 +438,13 @@ def checks_matchings(rng, tol: float) -> list:
     est, se = matchings.cross_probability_mc(4, (1, 1), [F1, Fall], 20_000, seed=5)
     out.append(_c("matchings.exact_vs_mc", abs(est - 0.25) < 4 * se, est))
 
-    spec = matchings.MatchingSpec(12, "biased", h=3)
-    rng2 = np.random.default_rng(17)
-    counts = np.zeros(13)
-    disjoint = True
     trials = 3000
-    for _ in range(trials):
-        parts = matchings.sample(spec, rng2)
-        union = 0
-        for b in parts:
-            if union & b:
-                disjoint = False
-            union |= b
-        counts[bin(parts[0]).count("1")] += 1
-        if union != (1 << 12) - 1:
-            disjoint = False  # buckets must partition [n]
+    parts = matchings._sample_biased_many(12, 3, np.random.default_rng(17), trials)
+    sizes = cube.popcounts(12)[parts]
+    # buckets must partition [n]: their union is [n] and their sizes sum to n
+    disjoint = bool(np.all(np.bitwise_or.reduce(parts, axis=1) == (1 << 12) - 1)
+                    and np.all(sizes.sum(axis=1) == 12))
+    counts = np.bincount(sizes[:, 0], minlength=13)
     mean = float(np.dot(np.arange(13), counts)) / trials
     band = 3 * math.sqrt(12 * (1 / 3) * (2 / 3) / trials)
     out.append(_c("matchings.biased_partition", disjoint, 0.0))

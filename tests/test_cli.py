@@ -65,6 +65,19 @@ class TestCurve:
         assert code == 0
         assert json.loads(out)["body"]["curve"]["monotone"] is True
 
+    def test_grid_outside_unit_interval_exit_2(self, capsys):
+        code, out, err = run(["curve", "--function", "maj", "--n", "5",
+                              "--grid", "0.1:1.5:3"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "--grid" in err
+
+    def test_grid_without_steps_exit_2(self, capsys):
+        for grid in ("0.1:0.9:0", "0.1:0.9", "0.1:0.9:3:4", "a:0.9:3"):
+            code, out, err = run(["curve", "--function", "maj", "--n", "5",
+                                  "--grid", grid], capsys)
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1 and "--grid" in err
+
     def test_unknown_function_exit_2(self, capsys):
         code, _, err = run(["curve", "--function", "nope"], capsys)
         assert code == 2 and "unknown function" in err
@@ -155,6 +168,18 @@ class TestCount:
         assert code == 2 and out == "" and not path.exists()
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_zero_samples_exit_2(self, capsys):
+        code, out, err = run(["count", "--n", "4", "--sizes", "1,1",
+                              "--families", "full,full", "--samples", "0"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "--samples" in err
+
+    def test_negative_samples_exit_2(self, capsys):
+        code, out, err = run(["count", "--n", "4", "--sizes", "1,1",
+                              "--families", "full,full", "--samples", "-5"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "--samples" in err
+
     def test_bad_family_exit_2(self, capsys):
         code, _, err = run(["count", "--n", "4", "--sizes", "1",
                             "--families", "bogus"], capsys)
@@ -204,6 +229,12 @@ class TestRemoval:
                             "--out", str(path)], capsys)
         assert code == 0 and out == ""
         jsonschema.validate(json.loads(path.read_text()), load_schema())
+
+    def test_negative_samples_exit_2(self, capsys):
+        code, out, err = run(["removal", "--family", "star", "--hypergraph", "i21",
+                              "--n", "7", "--k", "3", "--samples", "-3"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "--samples" in err
 
     def test_max_n_guard(self, capsys):
         code, out, err = run(["removal", "--family", "star", "--hypergraph",

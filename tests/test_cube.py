@@ -174,6 +174,61 @@ class TestCharacters:
         assert float(np.max(np.abs(gram - np.eye(1 << n)))) < 1e-10
 
 
+def trace_sums_by_loop(points, weights, Js):
+    """Reference for trace_sums: one Python pass over the points per J."""
+    out = np.zeros((len(Js), 1 << len(Js[0])))
+    for t, J in enumerate(Js):
+        for x, w in zip(points, weights):
+            a = sum(1 << idx for idx, c in enumerate(J) if int(x) >> (c - 1) & 1)
+            out[t, a] += w
+    return out
+
+
+class TestTraceSums:
+    def test_matches_loop(self):
+        rng = np.random.default_rng(7)
+        for n, size in ((1, 1), (4, 2), (6, 3), (9, 4)):
+            points = rng.integers(0, 1 << n, 50)
+            weights = rng.random(50)
+            Js = [list(rng.permutation(np.arange(1, n + 1))[:size]) for _ in range(5)]
+            assert np.allclose(cube.trace_sums(points, weights, Js),
+                               trace_sums_by_loop(points, weights, Js), atol=1e-12)
+
+    def test_rows_split_over_many_bincounts(self):
+        # 132 ordered pairs over 2^12 points take several chunks of rows
+        n = 12
+        points = np.arange(1 << n)
+        weights = np.random.default_rng(8).random(1 << n)
+        Js = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+        want = [np.bincount((points >> (a - 1) & 1) | (points >> (b - 1) & 1) << 1,
+                            weights, minlength=4) for a, b in Js]
+        assert np.allclose(cube.trace_sums(points, weights, Js), want, atol=1e-12)
+
+    def test_empty_j_is_the_total(self):
+        points = np.arange(16)
+        counts = cube.trace_sums(points, None, [()])
+        assert counts.shape == (1, 1) and counts[0, 0] == 16
+        assert counts.dtype.kind == "i"
+        assert cube.trace_sums(points, np.full(16, 0.25), [[]])[0, 0] == 4.0
+
+    def test_unsorted_j_orders_the_bits(self):
+        points = np.array([0b0001, 0b0010, 0b0011, 0b1000])
+        # bit 0 of a holds coordinate 4, bit 1 holds coordinate 1
+        assert cube.trace_sums(points, None, [(4, 1)]).tolist() == [[1, 1, 2, 0]]
+        assert cube.trace_sums(points, None, [(1, 4)]).tolist() == [[1, 2, 1, 0]]
+
+    def test_object_masks_above_62_bits(self):
+        from biasedcube.families import SetFamily
+        F = SetFamily.star(66, 2)
+        points = np.array(sorted(F.members), dtype=object)
+        # every member holds 1; exactly one of the 65 also holds 66
+        assert cube.trace_sums(points, None, [(1, 66)]).tolist() == [[0, 64, 0, 1]]
+
+    def test_no_points(self):
+        empty = np.array([], dtype=np.int64)
+        assert cube.trace_sums(empty, None, [(1, 2)]).tolist() == [[0, 0, 0, 0]]
+
+
 class TestRestrictAverage:
     def test_xor_restriction(self):
         f = DenseFunction.from_predicate(2, lambda x: bin(x).count("1") % 2 == 1)

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,6 +10,50 @@ from biasedcube import cube, families, verify
 from biasedcube.cube import mask_of
 from biasedcube.families import JuntaFamily, SetFamily
 from biasedcube.noise import CouplingParams
+
+
+def family_instances(count, seed):
+    """Seeded k-uniform families, k = 1..5 on n = k+2..k+4 points (n <= 9):
+    random, empty, full, star and junta-generated."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        k = 1 + t % 5
+        n = min(k + 2 + int(rng.integers(0, 3)), 9)
+        kind = t // 5 % 5
+        if kind == 0:
+            F = SetFamily.random(n, k, rng.uniform(0.1, 0.9), int(rng.integers(2 ** 31)))
+        elif kind == 1:
+            F = SetFamily.empty(n, k)
+        elif kind == 2:
+            F = SetFamily.full(n, k)
+        elif kind == 3:
+            F = SetFamily.star(n, k, center=int(rng.integers(1, n + 1)))
+        else:
+            J = sorted(int(c) for c in rng.choice(np.arange(1, n + 1), int(rng.integers(1, 4)),
+                                                   replace=False))
+            G = frozenset(mask_of(B) for size in range(len(J) + 1)
+                          for B in combinations(J, size) if rng.random() < 0.5)
+            F = JuntaFamily(n, k, tuple(J), G).generated()
+        yield F, rng
+
+
+def fair_slice_measures(F, J):
+    """Oracle for is_fair: one family_slice per B inside J with |B| <= k."""
+    Jset = sorted(set(J))
+    for size in range(0, len(Jset) + 1):
+        for B in combinations(Jset, size):
+            if len(B) <= F.k:
+                yield families.family_slice(F, Jset, B).measure
+
+
+def slice_deviations(F, r):
+    """Oracle for family_regular: |mu(F_J^B) - mu(F)| for every |J| <= r and
+    B inside J with |B| <= k, one family_slice each."""
+    for size in range(1, r + 1):
+        for J in combinations(range(1, F.n + 1), size):
+            for bsize in range(0, min(size, F.k) + 1):
+                for B in combinations(J, bsize):
+                    yield abs(families.family_slice(F, J, B).measure - F.measure)
 
 
 class TestSetFamily:
@@ -155,6 +200,28 @@ class TestFairness:
         with pytest.raises(ValueError):
             families.is_fair(SetFamily.full(5, 3), [1, 2, 3], 0.1)
 
+    def test_j_outside_ground_set(self):
+        with pytest.raises(ValueError):
+            families.is_fair(SetFamily.full(6, 2), [1, 7], 0.1)
+
+    def test_matches_slice_oracle(self):
+        # J unsorted with repeats; eps random, loose, and exactly at the
+        # boundary (1 - eps) mu(F) of one slice measure
+        verdicts = set()
+        for F, rng in family_instances(220, seed=31):
+            J = [int(c) for c in rng.choice(np.arange(1, F.n + 1),
+                                            int(rng.integers(0, F.n - F.k + 1)), replace=False)]
+            J += J[:1]
+            measures = list(fair_slice_measures(F, J))
+            epss = [float(rng.uniform(0.0, 1.0)), 0.0, 1.0]
+            if F.measure > 0:
+                epss += [1.0 - m / F.measure for m in measures[:3]]
+            for eps in epss:
+                got = families.is_fair(F, J, eps)
+                assert got == all(not m < (1.0 - eps) * F.measure for m in measures), (F, J, eps)
+                verdicts.add(got)
+        assert verdicts == {True, False}
+
 
 class TestFamilyRegularity:
     def test_full_family_regular(self):
@@ -166,6 +233,22 @@ class TestFamilyRegularity:
     def test_random_dense_family_roughly_regular(self):
         F = SetFamily.random(12, 3, 0.5, seed=8)
         assert families.family_regular(F, 1, 0.2)
+
+    def test_matches_slice_oracle(self):
+        # delta exactly at a slice deviation (both routes divide the same
+        # integer counts), between deviations, and above all of them
+        verdicts = set()
+        for F, rng in family_instances(220, seed=32):
+            r = int(rng.integers(0, F.n - F.k + 1))
+            devs = list(slice_deviations(F, r))
+            deltas = [max(devs, default=0.0) + 1e-9, float(rng.uniform(0.0, 0.5))]
+            if devs:
+                deltas += [min(devs), max(devs), float(rng.choice(devs))]
+            for delta in deltas:
+                got = families.family_regular(F, r, delta)
+                assert got == all(d < delta for d in devs), (F, r, delta)
+                verdicts.add(got)
+        assert verdicts == {True, False}
 
 
 class TestJuntaFamily:

@@ -53,6 +53,17 @@ class TestSamplers:
                 union |= m
             assert union == (1 << 9) - 1
 
+    def test_biased_batch_rows_are_successive_samples(self):
+        spec = MatchingSpec(11, "biased", h=4)
+        rng = np.random.default_rng(23)
+        want = [sample(spec, rng) for _ in range(50)]
+        rows = matchings._sample_biased_many(11, 4, np.random.default_rng(23), 50)
+        assert [tuple(int(b) for b in row) for row in rows] == want
+
+    def test_biased_batch_object_masks_above_62_bits(self):
+        rows = matchings._sample_biased_many(70, 3, np.random.default_rng(4), 5)
+        assert all(sum(int(b) for b in row) == (1 << 70) - 1 for row in rows)
+
     def test_conditioned_respects_floor(self):
         spec = MatchingSpec(9, "conditioned", h=3, k=2)
         rng = np.random.default_rng(3)

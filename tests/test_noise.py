@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -17,6 +18,44 @@ def rand_fn(n):
 
 def rand_bool(n):
     return DenseFunction(n, (RNG.random(1 << n) < 0.5).astype(float), boolean=True)
+
+
+def subcube_deviations(f, r, p):
+    """Oracle for is_regular: |mean - base| over every restriction on at most
+    r coordinates, one restrict and expectation per (J, a)."""
+    base = cube.expectation(f, p)
+    for size in range(1, min(r, f.n) + 1):
+        for J in combinations(range(1, f.n + 1), size):
+            for bits in range(1 << size):
+                a = {c: (bits >> idx) & 1 for idx, c in enumerate(J)}
+                if size == f.n:
+                    mask = sum((1 << (c - 1)) for c in J if a[c])
+                    mean = float(f.values[mask])
+                else:
+                    mean = cube.expectation(cube.restrict(f, J, a), p)
+                yield abs(mean - base)
+
+
+def regularity_instances(count, seed):
+    """Seeded (f, r, p): Boolean, real, constant and structured functions
+    for n = 2..10, p in {0.3, 0.4, 0.5}; r up to n, and up to 2 above n = 7."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        n, p = 2 + t % 9, (0.3, 0.4, 0.5)[t // 9 % 3]
+        kind = t // 9 % 5
+        if kind == 0:
+            f = DenseFunction(n, (rng.random(1 << n) < rng.uniform(0.1, 0.9)).astype(float),
+                              boolean=True)
+        elif kind == 1:
+            f = DenseFunction(n, rng.random(1 << n))
+        elif kind == 2:
+            f = DenseFunction.constant(n, rng.choice([0.0, 0.3, 1.0]))
+        elif kind == 3:
+            f = DenseFunction.dictator(n, int(rng.integers(1, n + 1)))
+        else:
+            f = DenseFunction(n, cube.popcounts(n) > n // 2, boolean=True)
+        r = int(rng.integers(0, (n if n <= 7 else 2) + 1))
+        yield f, r, p
 
 
 class TestCoupling:
@@ -187,6 +226,27 @@ class TestRegularity:
         f = DenseFunction.from_predicate(3, lambda x: bin(x).count("1") % 2 == 1)
         assert noise.is_regular(f, 1, 0.05, 0.5)
         assert not noise.is_regular(f, 1, 0.05, 0.3)
+
+    def test_matches_restriction_oracle(self):
+        # eps between two distinct oracle deviations, so rounding cannot
+        # move a verdict; also below and above all of them.  For Boolean f
+        # at p = 1/2 every mean is a dyadic rational that both routes get
+        # exactly, so there eps also sits exactly on a deviation.
+        rng = np.random.default_rng(12)
+        verdicts, ties = set(), 0
+        for f, r, p in regularity_instances(216, seed=11):
+            devs = list(subcube_deviations(f, r, p))
+            levels = sorted(set(devs))
+            gaps = [(a + b) / 2 for a, b in zip(levels, levels[1:]) if b - a > 1e-9]
+            epss = [*gaps[:2], *gaps[-2:], max(devs, default=0.0) + 1e-6, 1e-6]
+            if f.boolean and p == 0.5 and devs:
+                epss += [levels[0], levels[-1], *rng.choice(levels, 2)]
+                ties += 4
+            for eps in epss:
+                got = noise.is_regular(f, r, eps, p)
+                assert got == all(d < eps for d in devs), (f.n, r, p, eps)
+                verdicts.add(got)
+        assert verdicts == {True, False} and ties >= 100
 
     def test_full_restriction_case(self):
         f = DenseFunction.from_predicate(2, lambda x: x == 3)

@@ -1,9 +1,11 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from biasedcube import removal
 from biasedcube.cube import DenseFunction, expectation, mask_of
-from biasedcube.families import JuntaFamily, SetFamily
+from biasedcube.families import JuntaFamily, SetFamily, family_slice
 from biasedcube.hypergraphs import (
     k_expand,
     matching_hypergraph,
@@ -14,6 +16,66 @@ from biasedcube.noise import CouplingParams
 
 def maj(n):
     return DenseFunction.from_predicate(n, lambda x: bin(x).count("1") > n // 2)
+
+
+def greedy_family_junta_oracle(F, j_max=4, reg_delta=0.25, g_threshold=None):
+    """The slice loop greedy_family_junta replaced: two family_slice calls
+    per candidate and per B, and one per B for the generator."""
+    base = F.measure
+    J: list = []
+    while len(J) < min(j_max, F.n - F.k):
+        best = None
+        for i in range(1, F.n + 1):
+            if i in J:
+                continue
+            cand = sorted(J + [i])
+            dev = 0.0
+            for bbits in range(1 << len(J)):
+                B = [c for idx, c in enumerate(J) if bbits >> idx & 1]
+                if len(B) + 1 > F.k:
+                    continue
+                with_i = family_slice(F, cand, B + [i]).measure
+                without_i = family_slice(F, cand, B).measure
+                dev = max(dev, abs(with_i - without_i))
+            if best is None or dev > best[0]:
+                best = (dev, i)
+        if best is None or best[0] < reg_delta:
+            break
+        J = sorted(J + [best[1]])
+    thr = 0.5 * base if g_threshold is None else g_threshold
+    G = []
+    for bbits in range(1 << len(J)):
+        B = [c for idx, c in enumerate(J) if bbits >> idx & 1]
+        if len(B) > F.k:
+            continue
+        if family_slice(F, J, B).measure >= thr:
+            G.append(mask_of(B))
+    return JuntaFamily(F.n, F.k, tuple(J), frozenset(G))
+
+
+def junta_instances(count, seed):
+    """Seeded families, k = 1..5 on n = k+2..k+5 points (n <= 10): random,
+    empty, full, star and junta-generated; each with a j_max in 1..4."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        k = 1 + t % 5
+        n = min(k + 2 + int(rng.integers(0, 4)), 10)
+        kind = t // 5 % 5
+        if kind == 0:
+            F = SetFamily.random(n, k, rng.uniform(0.05, 0.6), int(rng.integers(2 ** 31)))
+        elif kind == 1:
+            F = SetFamily.empty(n, k)
+        elif kind == 2:
+            F = SetFamily.full(n, k)
+        elif kind == 3:
+            F = SetFamily.star(n, k, center=int(rng.integers(1, n + 1)))
+        else:
+            J = sorted(int(c) for c in rng.choice(np.arange(1, n + 1), int(rng.integers(1, 4)),
+                                                   replace=False))
+            G = frozenset(mask_of(B) for size in range(len(J) + 1)
+                          for B in combinations(J, size) if rng.random() < 0.5)
+            F = JuntaFamily(n, k, tuple(J), G).generated()
+        yield F, int(rng.integers(1, 5)), rng
 
 
 class TestDecompose:
@@ -156,6 +218,24 @@ class TestGreedyFamilyJunta:
         jf = removal.greedy_family_junta(F)
         assert jf.J == ()
         assert jf.generated() == F
+
+    def test_matches_slice_oracle(self):
+        # reg_delta at the default, low enough to grow J, and exactly at
+        # the largest first-round deviation (a tie on the stopping rule);
+        # g_threshold exactly at one slice measure of the oracle's J
+        grown = 0
+        for F, j_max, rng in junta_instances(210, seed=41):
+            first = max(abs(family_slice(F, [i], [i]).measure - family_slice(F, [i], []).measure)
+                        for i in range(1, F.n + 1))
+            for reg_delta in (0.25, first, 0.05):
+                want = greedy_family_junta_oracle(F, j_max, reg_delta)
+                assert removal.greedy_family_junta(F, j_max, reg_delta) == want, (F, reg_delta)
+                grown += len(want.J) > 0
+            B = [c for c in want.J if rng.random() < 0.5][:F.k]  # on the J of reg_delta 0.05
+            thr = family_slice(F, want.J, B).measure
+            assert (removal.greedy_family_junta(F, j_max, 0.05, thr)
+                    == greedy_family_junta_oracle(F, j_max, 0.05, thr))
+        assert grown >= 100
 
 
 class TestPipeline:
