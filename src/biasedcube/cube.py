@@ -150,7 +150,8 @@ _BLOCK = 4
 
 
 def apply_coordinatewise(values, n: int, kernels) -> np.ndarray:
-    """Apply a 2x2 kernel on every coordinate of a length-2^n table.
+    """Apply a 2x2 kernel on every coordinate of a length-2^n table, or of
+    each length-2^n block of a longer table.
 
     kernels[i] = (a, b, c, d) sends the pair (f0, f1) along coordinate
     i+1 to (a f0 + b f1, c f0 + d f1).  The kernels act on disjoint
@@ -285,15 +286,32 @@ def character_table(n: int, S: int, p: float) -> np.ndarray:
     return out
 
 
-def transform(f: DenseFunction, p: float) -> Spectrum:
-    """p-biased Fourier transform, one basis change per coordinate.
+def part_spectra(f: DenseFunction, J, p: float) -> np.ndarray:
+    """p-biased spectra of the 2^|J| restrictions f_{J -> a}, one row each.
 
-    On each coordinate a = (1-p) f0 + p f1 is the mean part and
-    b = sqrt(p(1-p)) (f0 - f1) the character part.
+    Row b fixes the idx-th smallest coordinate of J to bit idx of b; its
+    columns are subsets of the other coordinates, compacted as in restrict.
+    Each row gets one basis change per coordinate: a = (1-p) f0 + p f1 is
+    the mean part and b = sqrt(p(1-p)) (f0 - f1) the character part.
     """
     _check_bias(p)
+    Jset = sorted(set(J))
+    if any(c < 1 or c > f.n for c in Jset):
+        raise ValueError("restriction coordinates outside [n]")
+    rest = [c for c in range(1, f.n + 1) if c not in Jset]
+    # axis n - c of the (2,)*n view holds coordinate c; the highest bit leads
+    axes = [f.n - c for c in reversed(Jset)] + [f.n - c for c in reversed(rest)]
+    table = f.values.reshape((2,) * f.n).transpose(axes).reshape(1 << len(Jset), -1)
+    if not rest:
+        return table.copy()  # a function of no coordinates is its own spectrum
     r = math.sqrt(p * (1.0 - p))
-    return Spectrum(f.n, p, apply_coordinatewise(f.values, f.n, [(1.0 - p, p, r, -r)] * f.n))
+    return apply_coordinatewise(table, len(rest), [(1.0 - p, p, r, -r)] * len(rest)).reshape(
+        table.shape)
+
+
+def transform(f: DenseFunction, p: float) -> Spectrum:
+    """p-biased Fourier transform: the single row of part_spectra(f, (), p)."""
+    return Spectrum(f.n, p, part_spectra(f, (), p)[0])
 
 
 def inverse_transform(s: Spectrum) -> DenseFunction:

@@ -417,14 +417,11 @@ def almost_free_exact(F: SetFamily, H: Hypergraph,
                       work_bound: int = 10 ** 8) -> Fraction:
     """Exact probability that a uniform random copy of H lies inside F.
 
-    Counted by the pruned search of _count_inside with F at every edge.
-    The work bound refuses when (n)_v or |F|**h exceeds it.
+    Counted by the pruned search of _count_inside with F at every edge,
+    which never enumerates injections: the work bound refuses only when
+    max(|F|, 1)**h exceeds it.
     """
-    families = [F] * H.h
-    _check_families(F.n, families, H)  # a malformed input is no refused bound
-    if math.perm(F.n, H.support().bit_count()) > work_bound:
-        raise WorkBoundExceeded("work bound exceeded; use almost_free_estimate")
-    return _count_inside(F.n, families, H, work_bound)
+    return _count_inside(F.n, [F] * H.h, H, work_bound)
 
 
 def trace_probability_order(H: Hypergraph, J, trace, n: int, samples: int,

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import DenseFunction, expectation, mask_of, noisy_influence, popcounts, restrict
+from .cube import (DenseFunction, apply_coordinatewise, expectation, mask_of, part_spectra,
+                   popcounts)
 from .noise import CouplingParams, _submasks, cross_term, is_regular, monotonicity_defect
 from .families import JuntaFamily, SetFamily, _slice_measures
 from .hypergraphs import (
@@ -37,33 +38,33 @@ class Decomposition:
     bad_mass: float
 
 
-def _assignment_masks(J):
-    return sorted(_submasks(mask_of(J)))
-
-
 def decompose(f: DenseFunction, q: float, rho: float, delta: float,
               j_max: int, neg_threshold: float = 0.05) -> Decomposition:
     """Greedy junta decomposition by maximal noisy influence.
 
     Grows J until every part of mu_q-mass >= delta is quasirandom (all
     noisy influences < delta) or negligible (mean < neg_threshold,
-    strictly), or j_max is hit; final statuses are exact.
+    strictly), or j_max is hit; final statuses are exact.  Each round
+    reads every part's mean and noisy influences from one part_spectra.
     """
     if j_max > 12:
         raise ValueError("j_max capped at 12")
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("rho outside [0,1]")
     J: list = []
     while True:
+        spectra = part_spectra(f, J, q)
+        rest = [c for c in range(1, f.n + 1) if c not in J]
+        # up[b, T] sums rho^|S| fhat(S)^2 of part b over the S containing T,
+        # so infs[b, i] is its noisy influence at rest[i]
+        up = apply_coordinatewise(spectra ** 2, len(rest), [(1.0, rho, 0.0, rho)] * len(rest))
+        infs = up.reshape(spectra.shape)[:, 1 << np.arange(len(rest))]
         statuses, diags, worst = {}, {}, None
-        for a_mask in _assignment_masks(J):
+        for b, row in enumerate(infs):
+            a_mask = mask_of(c for idx, c in enumerate(J) if b >> idx & 1)
             mass = math.prod((q if a_mask >> (c - 1) & 1 else 1.0 - q for c in J), start=1.0)
-            if len(J) == f.n:
-                mean = float(f.values[a_mask])
-                infs = []
-            else:
-                part = restrict(f, J, a_mask)
-                mean = expectation(part, q)
-                infs = [noisy_influence(part, i, rho, q) for i in range(1, part.n + 1)]
-            maxinf = max(infs, default=0.0)
+            mean = float(spectra[b, 0])
+            maxinf = float(row.max(initial=0.0))
             if mean < neg_threshold:
                 status = "negligible"
             elif maxinf < delta:
@@ -74,32 +75,14 @@ def decompose(f: DenseFunction, q: float, rho: float, delta: float,
             diags[a_mask] = {"mass": mass, "mean": mean,
                              "max_noisy_influence": maxinf}
             if status == "bad" and mass >= delta:
-                rest = [c for c in range(1, f.n + 1) if c not in J]
-                best_local = int(np.argmax(infs))
-                cand = (maxinf * mass, rest[best_local])
+                cand = (maxinf * mass, rest[int(np.argmax(row))])
                 if worst is None or cand > worst:
                     worst = cand
         bad_mass = sum(d["mass"] for a, d in diags.items() if statuses[a] == "bad")
-        if worst is None:
-            return Decomposition(tuple(J), statuses, diags, False, bad_mass)
-        if len(J) >= j_max:
-            return Decomposition(tuple(J), statuses, diags, True, bad_mass)
+        if worst is None or len(J) >= j_max:
+            return Decomposition(tuple(J), statuses, diags, worst is not None, bad_mass)
         J.append(worst[1])
         J.sort()
-
-
-def _up_closure(masks, J) -> set:
-    bits = [1 << (c - 1) for c in J]
-    closed = set(masks)
-    frontier = list(masks)
-    while frontier:
-        m = frontier.pop()
-        for b in bits:
-            up = m | b
-            if up not in closed:
-                closed.add(up)
-                frontier.append(up)
-    return closed
 
 
 def monotone_junta_approx(f: DenseFunction, cp: CouplingParams,
@@ -116,17 +99,19 @@ def monotone_junta_approx(f: DenseFunction, cp: CouplingParams,
     defect = monotonicity_defect(f, cp)
     dec = decompose(f, cp.q, cp.rho, delta, j_max, neg_threshold=eps / 2.0)
     J = dec.J
-    good = {a for a, st in dec.parts.items()
-            if dec.diagnostics[a]["max_noisy_influence"] < delta
-            and dec.diagnostics[a]["mean"] >= eps / 2.0}
-    A = _up_closure(good, J)
     jmask = mask_of(J)
+    # the up-closure of the quasirandom parts (dense, every noisy influence
+    # < delta): a joins when it is one, or when some a minus one bit has joined
+    A: set = set()
+    for a in sorted(_submasks(jmask)):  # every subset of a comes first
+        if dec.parts[a] == "quasirandom" or any(a & ~(1 << (c - 1)) in A for c in J):
+            A.add(a)
     x = np.arange(1 << f.n)
     member = np.isin(x & jmask, sorted(A)) if A else np.zeros(1 << f.n, dtype=bool)
     g = DenseFunction(f.n, member.astype(np.float64), boolean=True)
 
     # exhaustive monotonicity check of the junta on {0,1}^J
-    for a in _assignment_masks(J):
+    for a in _submasks(jmask):
         for c in J:
             b = 1 << (c - 1)
             if not a & b and (a in A) and (a | b) not in A:
@@ -252,8 +237,7 @@ def removal_pipeline(F: SetFamily, H: Hypergraph, s: int, seed: int = 0,
 
     # (b)
     jf = greedy_family_junta(F)
-    gen = jf.generated()
-    escape = len(F.members - gen.members) / math.comb(F.n, F.k)
+    escape = sum(not jf.contains(m) for m in F.members) / math.comb(F.n, F.k)
     report["junta"] = {"J": list(jf.J), "G": sorted(jf.G),
                        "escaping_mass": escape}
 

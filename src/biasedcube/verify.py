@@ -161,8 +161,8 @@ def checks_noise(rng, tol: float) -> list:
     sampler = noise.CoupledSampler(cp2, 10, seed=7)
     xs, ys = sampler.sample_many(20_000)
     dominated = bool(np.all((xs & ~ys) == 0))
-    mean_x = float(np.mean([bin(int(v)).count("1") for v in xs])) / 10
-    mean_y = float(np.mean([bin(int(v)).count("1") for v in ys])) / 10
+    mean_x = float(np.mean(cube.popcounts(10)[xs])) / 10
+    mean_y = float(np.mean(cube.popcounts(10)[ys])) / 10
     band = 3 * math.sqrt(0.25 / (20_000 * 10))
     mok = abs(mean_x - cp2.q) < band and abs(mean_y - cp2.p) < band
     out.append(_c("noise.coupling_domination", dominated, 0.0))

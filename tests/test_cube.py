@@ -96,6 +96,74 @@ class TestTransform:
         assert float(np.max(np.abs(back.values - f.values))) < 1e-10
 
 
+def tribes(n):
+    """OR of ANDs over consecutive blocks of 3 coordinates (the last may be short)."""
+    x = np.arange(1 << n)
+    blocks = [((1 << min(3, n - lo)) - 1) << lo for lo in range(0, n, 3)]
+    return DenseFunction(n, np.any([(x & b) == b for b in blocks], axis=0).astype(float),
+                         boolean=True)
+
+
+class TestPartSpectra:
+    # its own generator, so the module's RNG stream stays as the other tests had it
+    rng = np.random.default_rng(211)
+
+    def rand_fn(self, n):
+        return DenseFunction(n, self.rng.random(1 << n))
+
+    @staticmethod
+    def assert_rows_match(f, J, p):
+        rows = cube.part_spectra(f, J, p)
+        Js = sorted(set(J))
+        assert rows.shape == (1 << len(Js), 1 << (f.n - len(Js)))
+        for b, row in enumerate(rows):
+            a = cube.mask_of(c for idx, c in enumerate(Js) if b >> idx & 1)
+            if len(Js) == f.n:
+                want = f.values[a:a + 1]
+            else:
+                want = cube.transform(cube.restrict(f, J, a), p).coeffs
+            assert float(np.max(np.abs(row - want))) <= 1e-12, (f.n, J, b)
+
+    def test_rows_are_restricted_spectra(self):
+        # symmetric inputs, where rounding decides decompose's exact ties,
+        # and random ones, which tell every coordinate apart
+        for n in range(1, 13):
+            pc = cube.popcounts(n)
+            fs = [DenseFunction(n, (pc > n // 2).astype(float)),
+                  DenseFunction(n, (pc % 2).astype(float)), tribes(n), self.rand_fn(n)]
+            Js = [(), tuple(range(1, n + 1)), (n, 1, n)]
+            Js += [tuple(int(c) for c in self.rng.choice(np.arange(1, n + 1),
+                                                         int(self.rng.integers(1, n + 1)),
+                                                         replace=False)) for _ in range(2)]
+            for f in fs:
+                for J in Js:
+                    self.assert_rows_match(f, J, (0.3, 0.5, 0.7)[n % 3])
+
+    def test_transform_is_the_kernel_pass(self):
+        for n in (1, 4, 9):
+            f = self.rand_fn(n)
+            for p in (0.2, 0.5):
+                r = math.sqrt(p * (1.0 - p))
+                want = cube.apply_coordinatewise(f.values, n, [(1.0 - p, p, r, -r)] * n)
+                assert np.array_equal(cube.transform(f, p).coeffs, want)
+                assert np.array_equal(cube.part_spectra(f, (), p), want[None, :])
+
+    def test_every_coordinate_fixed_copies_the_table(self):
+        f = self.rand_fn(4)
+        rows = cube.part_spectra(f, [4, 2, 3, 1], 0.3)
+        assert np.array_equal(rows[:, 0], f.values)
+        rows[:] = 0.0
+        assert np.all(f.values != 0.0)
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            cube.part_spectra(self.rand_fn(3), [4], 0.5)
+        with pytest.raises(ValueError):
+            cube.part_spectra(self.rand_fn(3), [0], 0.5)
+        with pytest.raises(ValueError):
+            cube.part_spectra(self.rand_fn(3), [1], 1.0)
+
+
 class TestCoordinatewise:
     IDENTITY = (1.0, 0.0, 0.0, 1.0)
     SINGULAR = (0.0, 0.0, 0.0, 1.0)

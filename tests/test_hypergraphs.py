@@ -190,6 +190,12 @@ class TestCounting:
                 call()
         assert issubclass(hg.WorkBoundExceeded, ValueError)
 
+    def test_many_injections_few_members(self):
+        # (45)_5 = 146,611,080 injections exceed the default bound, but the
+        # search only pairs members: |F|**2 = 946**2 = 894,916 leaves
+        F = SetFamily.star(45, 3)
+        assert hg.almost_free_exact(F, sunflower_hypergraph(2, 3)) == Fraction(1, 45)
+
     def test_edge_size_mismatch(self):
         with pytest.raises(ValueError):
             hg.almost_free_exact(SetFamily.full(6, 3), matching_hypergraph(2, 2))

@@ -1,17 +1,18 @@
+import math
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from biasedcube import removal
-from biasedcube.cube import DenseFunction, expectation, mask_of
+from biasedcube.cube import DenseFunction, expectation, mask_of, noisy_influence, restrict
 from biasedcube.families import JuntaFamily, SetFamily, family_slice
 from biasedcube.hypergraphs import (
     k_expand,
     matching_hypergraph,
     sunflower_hypergraph,
 )
-from biasedcube.noise import CouplingParams
+from biasedcube.noise import CouplingParams, _submasks
 
 
 def maj(n):
@@ -78,7 +79,111 @@ def junta_instances(count, seed):
         yield F, int(rng.integers(1, 5)), rng
 
 
+def decompose_oracle(f, q, rho, delta, j_max, neg_threshold=0.05):
+    """The part loop decompose replaced: one restrict per part, then one
+    expectation and one noisy_influence (a full transform) per remaining
+    coordinate of each part."""
+    J: list = []
+    while True:
+        statuses, diags, worst = {}, {}, None
+        for a_mask in sorted(_submasks(mask_of(J))):
+            mass = math.prod((q if a_mask >> (c - 1) & 1 else 1.0 - q for c in J), start=1.0)
+            if len(J) == f.n:
+                mean = float(f.values[a_mask])
+                infs = []
+            else:
+                part = restrict(f, J, a_mask)
+                mean = expectation(part, q)
+                infs = [noisy_influence(part, i, rho, q) for i in range(1, part.n + 1)]
+            maxinf = max(infs, default=0.0)
+            if mean < neg_threshold:
+                status = "negligible"
+            elif maxinf < delta:
+                status = "quasirandom"
+            else:
+                status = "bad"
+            statuses[a_mask] = status
+            diags[a_mask] = {"mass": mass, "mean": mean, "max_noisy_influence": maxinf}
+            if status == "bad" and mass >= delta:
+                rest = [c for c in range(1, f.n + 1) if c not in J]
+                cand = (maxinf * mass, rest[int(np.argmax(infs))])
+                if worst is None or cand > worst:
+                    worst = cand
+        bad_mass = sum(d["mass"] for a, d in diags.items() if statuses[a] == "bad")
+        if worst is None or len(J) >= j_max:
+            return removal.Decomposition(tuple(J), statuses, diags, worst is not None, bad_mass)
+        J.append(worst[1])
+        J.sort()
+
+
+def decompose_instances(count, seed):
+    """Seeded generic functions on n = 1..12 points: Boolean, real-valued in
+    [0, 1], a junta plus noise, dictator and constant; q in {0.3, 0.4, 0.5},
+    random rho and delta, j_max from 1 up to n."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        n = 1 + t % 12
+        kind = t // 12 % 5
+        j_max = int(rng.integers(1, n + 1))
+        if kind == 0 and n >= 5:
+            # a Boolean part on few free coordinates is often symmetric, and
+            # then rounding alone breaks its exact ties: keep 4 coordinates free
+            f = DenseFunction(n, (rng.random(1 << n) < rng.uniform(0.2, 0.8)).astype(float),
+                              boolean=True)
+            j_max = min(j_max, n - 4)
+        elif kind <= 1:
+            f = DenseFunction(n, rng.random(1 << n))
+        elif kind == 2:
+            junta = rng.random(1 << min(n, 3))[np.arange(1 << n) & ((1 << min(n, 3)) - 1)]
+            f = DenseFunction(n, 0.9 * junta + 0.1 * rng.random(1 << n))
+        elif kind == 3:
+            f = DenseFunction.dictator(n, int(rng.integers(1, n + 1)))
+        else:
+            f = DenseFunction.constant(n, rng.uniform(0.0, 1.0))
+        q = (0.3, 0.4, 0.5)[t % 3]
+        yield f, q, rng.uniform(0.3, 1.0), 10 ** rng.uniform(-3.0, -0.7), j_max
+
+
+def assert_same_decomposition(got, want):
+    assert got.J == want.J and got.parts == want.parts and got.failed == want.failed
+    assert abs(got.bad_mass - want.bad_mass) <= 1e-12
+    assert got.diagnostics.keys() == want.diagnostics.keys()
+    for a, d in want.diagnostics.items():
+        for key, value in d.items():
+            assert abs(got.diagnostics[a][key] - value) <= 1e-12, (a, key)
+
+
 class TestDecompose:
+    def test_matches_part_loop_oracle(self):
+        grown = full = 0
+        for f, q, rho, delta, j_max in decompose_instances(240, seed=57):
+            want = decompose_oracle(f, q, rho, delta, j_max)
+            assert_same_decomposition(removal.decompose(f, q, rho, delta, j_max), want)
+            grown += len(want.J) > 0
+            full += len(want.J) == f.n
+        assert grown >= 100 and full >= 10
+
+    def test_parity_fixes_every_coordinate(self):
+        # every part of parity keeps full noisy influence until J = [n]
+        f = DenseFunction.from_predicate(3, lambda x: bin(x).count("1") % 2 == 1)
+        for j_max in (2, 3, 4):
+            want = decompose_oracle(f, 0.4, 0.9, 0.01, j_max)
+            got = removal.decompose(f, 0.4, 0.9, 0.01, j_max)
+            assert_same_decomposition(got, want)
+        assert got.J == (1, 2, 3) and not got.failed
+        assert all(d["max_noisy_influence"] == 0.0 for d in got.diagnostics.values())
+
+    def test_one_part_spectra_per_round(self, monkeypatch):
+        calls = []
+        real = removal.part_spectra
+        monkeypatch.setattr(removal, "part_spectra", lambda *a: calls.append(a) or real(*a))
+        dec = removal.decompose(DenseFunction.dictator(6, 3), 0.4, 0.9, delta=0.05, j_max=4)
+        assert dec.J == (3,) and len(calls) == 2
+
+    def test_rho_checked(self):
+        with pytest.raises(ValueError, match="rho"):
+            removal.decompose(maj(4), 0.3, 1.5, 0.01, j_max=2)
+
     def test_constant_needs_no_junta(self):
         f = DenseFunction.constant(6, 1.0)
         dec = removal.decompose(f, 0.3, 0.8, delta=0.05, j_max=4)
@@ -135,6 +240,23 @@ class TestMonotoneJunta:
             g, _, _, _ = removal.monotone_junta_approx(f, cp, delta=0.05,
                                                        eps=0.2, j_max=4)
             assert removal.is_monotone(g)
+
+    def test_junta_is_up_closure_of_quasirandom_parts(self):
+        # g(x) = 1 exactly when some quasirandom part a has a inside x
+        rng = np.random.default_rng(29)
+        cp = CouplingParams(0.3, 0.6)
+        sizes = set()
+        for _ in range(30):
+            n = int(rng.integers(3, 9))
+            f = DenseFunction(n, (rng.random(1 << n) < rng.uniform(0.2, 0.8)).astype(float),
+                              boolean=True)
+            g, _, _, rep = removal.monotone_junta_approx(f, cp, delta=0.03, eps=0.2, j_max=4)
+            dec = removal.decompose(f, cp.q, cp.rho, 0.03, 4, neg_threshold=0.1)
+            good = [a for a, st in dec.parts.items() if st == "quasirandom"]
+            assert g.values.tolist() == [float(any(a & ~x == 0 for a in good))
+                                         for x in range(1 << n)]
+            sizes.add((len(rep["J"]), len(good)))
+        assert len(sizes) >= 5
 
     def test_two_branch_threshold_example(self):
         # coordinate 1 switches between a sparse branch and a dense one;
