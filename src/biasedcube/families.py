@@ -17,8 +17,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .cube import (DenseFunction, _bit_weights, apply_coordinatewise, coords_of, expectation,
-                   mask_of, popcounts, trace_sums)
+from .cube import (DenseFunction, _bit_weights, _level_table, apply_coordinatewise, coords_of,
+                   expectation, mask_of, popcounts, trace_sums)
 from .noise import CouplingParams, cross_term
 
 
@@ -159,7 +159,7 @@ def lift(F: SetFamily) -> DenseFunction:
     g[list(F.members)] = 1.0
     counts = apply_coordinatewise(g, n, [(1.0, 0.0, 1.0, 1.0)] * n)
     denom = np.array([max(math.comb(c, k), 1) for c in range(n + 1)], dtype=np.float64)
-    return DenseFunction(n, counts / denom[popcounts(n)], bounded=True)
+    return DenseFunction(n, counts / _level_table(denom, n), bounded=True)
 
 
 def lift_direct(F: SetFamily) -> DenseFunction:

@@ -23,12 +23,12 @@ from .cube import (
     BiasWeights,
     DenseFunction,
     Spectrum,
+    _level_table,
     apply_coordinatewise,
     expectation,
     inner_product,
     inverse_transform,
     level_powers,
-    popcounts,
     trace_sums,
     transform,
 )
@@ -51,9 +51,14 @@ class CouplingParams:
 
 
 class CoupledSampler:
-    """Seeded sampler of coordinatewise-monotone pairs (x, y) from D(q, p)."""
+    """Seeded sampler of coordinatewise-monotone pairs (x, y) from D(q, p).
+
+    Points are int64 bitmasks, so n is at most 63.
+    """
 
     def __init__(self, params: CouplingParams, n: int, seed: int):
+        if not 1 <= n <= 63:
+            raise ValueError(f"coupled samples are int64 masks: n={n} outside [1, 63]")
         self.params = params
         self.n = n
         self.rng = np.random.default_rng(seed)
@@ -63,17 +68,25 @@ class CoupledSampler:
         return int(x[0]), int(y[0])
 
     def sample_many(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized draws; returns arrays of point bitmasks."""
+        """Vectorized draws; returns int64 arrays of point bitmasks.
+
+        One rng.random(count) per coordinate, coordinate-major.  The masks
+        are built in place in the narrowest unsigned type that holds n bits.
+        """
         q, p = self.params.q, self.params.p
-        x = np.zeros(count, dtype=np.int64)
-        y = np.zeros(count, dtype=np.int64)
+        width = np.min_scalar_type((1 << self.n) - 1)
+        x = np.zeros(count, dtype=width)
+        y = np.zeros(count, dtype=width)
+        u = np.empty(count)
+        bit = np.empty(count, dtype=bool)
+        shifted = np.empty(count, dtype=width)
         for i in range(self.n):
-            u = self.rng.random(count)
-            xi = u < q
-            yi = u < p
-            x |= xi.astype(np.int64) << i
-            y |= yi.astype(np.int64) << i
-        return x, y
+            self.rng.random(out=u)
+            for mask, bias in ((x, q), (y, p)):
+                np.less(u, bias, out=bit)
+                np.left_shift(bit, i, out=shifted, dtype=width)
+                mask |= shifted
+        return x.astype(np.int64), y.astype(np.int64)
 
 
 def noise_operator(f: DenseFunction, rho: float, p: float,
@@ -207,5 +220,5 @@ def is_fourier_regular(f: DenseFunction, r: int, delta: float, p: float) -> bool
     if r < 1:
         return True
     j = np.arange(f.n + 1)
-    sel = ((j >= 1) & (j <= r))[popcounts(f.n)]
+    sel = _level_table((j >= 1) & (j <= r), f.n)
     return bool(np.max(np.abs(transform(f, p).coeffs[sel])) < delta)

@@ -125,8 +125,10 @@ def monotone_junta_approx(f: DenseFunction, cp: CouplingParams,
 
 
 def is_monotone(f: DenseFunction) -> bool:
+    # a Boolean table is compared one byte per point instead of eight
+    values = f.values.astype(bool) if f.boolean else f.values
     for i in range(f.n):
-        v = f.values.reshape(-1, 2, 1 << i)
+        v = values.reshape(-1, 2, 1 << i)
         if np.any(v[:, 0, :] > v[:, 1, :]):
             return False
     return True

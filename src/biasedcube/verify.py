@@ -53,10 +53,9 @@ def checks_fourier(rng, tol: float) -> list:
 
     n, p = 5, 0.3
     worst = 0.0
-    for S in range(1 << n):
-        chi_s = DenseFunction(n, cube.character_table(n, S, p))
-        for T in range(1 << n):
-            chi_t = DenseFunction(n, cube.character_table(n, T, p))
+    chis = [DenseFunction(n, cube.character_table(n, S, p)) for S in range(1 << n)]
+    for S, chi_s in enumerate(chis):
+        for T, chi_t in enumerate(chis):
             ip = cube.inner_product(chi_s, chi_t, p)
             worst = max(worst, abs(ip - (1.0 if S == T else 0.0)))
     out.append(_c("fourier.character_orthonormality", worst < 0.1 * tol, worst))

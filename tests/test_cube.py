@@ -54,6 +54,25 @@ class TestBasics:
             cube.transform(rand_fn(3), 1.0)
 
 
+class TestLevelTables:
+    @pytest.mark.parametrize("n", range(1, 23))
+    def test_level_table_is_the_popcount_gather(self, n):
+        # both sides of the crossover: plain gather below it, row copies from it
+        levels = RNG.random(n + 1)
+        want = levels[cube.popcounts(n)]
+        got = cube._level_table(levels, n)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        flags = RNG.random(n + 1) < 0.5
+        assert np.array_equal(cube._level_table(flags, n), flags[cube.popcounts(n)])
+
+    @pytest.mark.parametrize("n", [4, cube._ROW_COPY_MIN_N - 1, cube._ROW_COPY_MIN_N, 16])
+    def test_level_powers_and_weights_are_gathers(self, n):
+        j = np.arange(n + 1)
+        pc = cube.popcounts(n)
+        assert np.array_equal(cube.level_powers(0.37, n), (0.37 ** j)[pc])
+        assert np.array_equal(BiasWeights(n, 0.3).table(), (0.3 ** j * 0.7 ** (n - j))[pc])
+
+
 class TestTransform:
     def test_dictator_half(self):
         # oracle: chi(0)=1, chi(1)=-1 at p=1/2, so x_1 = 1/2 - chi/2

@@ -20,6 +20,19 @@ def rand_bool(n):
     return DenseFunction(n, (RNG.random(1 << n) < 0.5).astype(float), boolean=True)
 
 
+def sample_many_int64(cp, n, seed, count):
+    """Oracle for CoupledSampler.sample_many: the int64 loop it replaced, one
+    full-width temporary per coordinate and side."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros(count, dtype=np.int64)
+    y = np.zeros(count, dtype=np.int64)
+    for i in range(n):
+        u = rng.random(count)
+        x |= (u < cp.q).astype(np.int64) << i
+        y |= (u < cp.p).astype(np.int64) << i
+    return x, y
+
+
 def subcube_deviations(f, r, p):
     """Oracle for is_regular: |mean - base| over every restriction on at most
     r coordinates, one restrict and expectation per (J, a)."""
@@ -83,6 +96,37 @@ class TestCoupling:
         a = noise.CoupledSampler(cp, 5, seed=3).sample_many(100)
         b = noise.CoupledSampler(cp, 5, seed=3).sample_many(100)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 63])
+    @pytest.mark.parametrize("count", [0, 1, 4097])
+    def test_sampler_matches_int64_loop(self, n, count):
+        cp = CouplingParams(0.15, 0.55)
+        seed = 1000 * n + count
+        got = noise.CoupledSampler(cp, n, seed).sample_many(count)
+        want = sample_many_int64(cp, n, seed, count)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    def test_sampler_continues_the_stream(self):
+        # successive calls read on through one generator, as the loop did
+        cp = CouplingParams(0.3, 0.6)
+        s = noise.CoupledSampler(cp, 12, seed=5)
+        got = [s.sample_many(300) for _ in range(3)]
+        rng = np.random.default_rng(5)
+        for x, y in got:
+            want = sample_many_int64(cp, 12, rng, 300)
+            assert np.array_equal(x, want[0]) and np.array_equal(y, want[1])
+        assert s.sample() == tuple(int(v[0]) for v in sample_many_int64(cp, 12, rng, 1))
+
+    @pytest.mark.parametrize("n", [-1, 0, 64, 70])
+    def test_sampler_rejects_dimensions_outside_int64_masks(self, n):
+        with pytest.raises(ValueError, match="outside"):
+            noise.CoupledSampler(CouplingParams(0.2, 0.5), n, seed=0)
+
+    def test_sampler_top_bit_at_n63(self):
+        x, y = noise.CoupledSampler(CouplingParams(0.5, 0.9), 63, seed=2).sample_many(256)
+        assert np.all(x >= 0) and np.all(y >= 0)
+        assert np.any(y >> 62) and not np.any(x & ~y)
 
 
 class TestNoiseOperator:

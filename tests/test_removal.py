@@ -280,6 +280,35 @@ class TestMonotoneJunta:
                                           CouplingParams(0.3, 0.6))
 
 
+def is_monotone_pairs(values, n):
+    """Oracle for is_monotone: every pair x < x + e_i compared one at a time."""
+    return all(values[x] <= values[x | 1 << i]
+               for x in range(1 << n) for i in range(n) if not x >> i & 1)
+
+
+class TestIsMonotone:
+    @pytest.mark.parametrize("n", [1, 3, 6, 10])
+    def test_boolean_path_matches_float_path_and_pairs(self, n):
+        rng = np.random.default_rng(300 + n)
+        x = np.arange(1 << n)
+        weights = rng.uniform(0.5, 1.5, n)
+        real = sum(w * ((x >> b) & 1) for b, w in enumerate(weights))
+        threshold = (real >= 0.5 * weights.sum()).astype(float)
+        tables = [real, threshold, (rng.random(1 << n) < 0.5).astype(float),
+                  np.zeros(1 << n), np.ones(1 << n)]
+        for i in range(n):
+            # reversing coordinate i plants violations along i and no other
+            tables += [real[x ^ 1 << i], threshold[x ^ 1 << i]]
+        for values in tables:
+            want = is_monotone_pairs(values, n)
+            assert removal.is_monotone(DenseFunction(n, values)) == want
+            if np.all((values == 0.0) | (values == 1.0)):
+                assert removal.is_monotone(DenseFunction(n, values, boolean=True)) == want
+        planted = tables[5:]
+        assert not any(is_monotone_pairs(v, n) for v in planted)
+        assert is_monotone_pairs(real, n) and is_monotone_pairs(threshold, n)
+
+
 class TestThresholdCurve:
     def test_dictator_curve(self):
         f = DenseFunction.dictator(5, 1)
