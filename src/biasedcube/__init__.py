@@ -31,7 +31,6 @@ from .noise import (
 )
 from .gaussian import (
     GaussianPoly,
-    LambdaQuery,
     chop,
     chop_distance,
     gaussian_analogue,

@@ -203,8 +203,11 @@ def cmd_removal(cfg: RunConfig) -> int:
     return 0
 
 
-def _parse_floats(text: str) -> list:
-    return [float(t) for t in text.split(",") if t]
+def _parse_floats(option: str, text: str) -> list:
+    values = [float(t) for t in text.split(",") if t]
+    if not values:
+        raise ValueError(f"{option} {text!r}: need at least one number")
+    return values
 
 
 def _parse_grid(text: str) -> tuple:
@@ -280,9 +283,9 @@ def main(argv=None) -> int:
                          "grid": _parse_grid(args.grid)}
             return cmd_curve(cfg)
         if args.command == "lambda":
-            cfg.extra = {"rho": _parse_floats(args.rho),
-                         "mu": _parse_floats(args.mu),
-                         "nu": _parse_floats(args.nu)}
+            cfg.extra = {"rho": _parse_floats("--rho", args.rho),
+                         "mu": _parse_floats("--mu", args.mu),
+                         "nu": _parse_floats("--nu", args.nu)}
             return cmd_lambda(cfg)
         if args.command == "count":
             sizes = [int(t) for t in args.sizes.split(",")]

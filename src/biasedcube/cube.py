@@ -24,6 +24,15 @@ FLAG_BOUNDED = 2
 _MAGIC = b"BQF1"
 
 
+def _json_object(text: str, what: str, *keys: str) -> dict:
+    """A JSON object holding every key in keys, or a ValueError naming the missing ones."""
+    obj = json.loads(text)
+    missing = [k for k in keys if not isinstance(obj, dict) or k not in obj]
+    if missing:
+        raise ValueError(f"{what} JSON lacks {', '.join(missing)}")
+    return obj
+
+
 def _check_n(n: int, max_n: int = MAX_N) -> None:
     if not 1 <= n <= max_n:
         raise ValueError(f"dimension n={n} outside [1, {max_n}]")
@@ -62,9 +71,9 @@ def coords_of(mask: int):
 _DRAW_CHUNK = 4096  # samples per draw, so memory stays O(_DRAW_CHUNK * n)
 
 
-def _draw_chunks(samples: int) -> list:
+def _draw_chunks(samples: int, chunk: int = _DRAW_CHUNK) -> list:
     """Row counts of the successive draws that make up `samples` samples."""
-    return [min(_DRAW_CHUNK, samples - done) for done in range(0, samples, _DRAW_CHUNK)]
+    return [min(chunk, samples - done) for done in range(0, samples, chunk)]
 
 
 def _binomial_estimate(hits: int, samples: int) -> tuple[float, float]:
@@ -266,7 +275,7 @@ class DenseFunction:
 
     @staticmethod
     def from_json(text: str) -> "DenseFunction":
-        obj = json.loads(text)
+        obj = _json_object(text, "dense-function", "n", "values")
         return DenseFunction(obj["n"], obj["values"],
                              boolean=bool(obj.get("flags", 0) & FLAG_BOOLEAN),
                              bounded=bool(obj.get("flags", 0) & FLAG_BOUNDED))
@@ -374,10 +383,7 @@ def restrict(f: DenseFunction, J, a) -> DenseFunction:
     if any(c < 1 or c > f.n for c in Jset):
         raise ValueError("restriction coordinates outside [n]")
     if isinstance(a, dict):
-        a_mask = 0
-        for c in Jset:
-            if a[c]:
-                a_mask |= 1 << (c - 1)
+        a_mask = sum(1 << (c - 1) for c in Jset if a[c])
     else:
         a_mask = int(a)
         if a_mask & ~mask_of(Jset):
@@ -386,12 +392,11 @@ def restrict(f: DenseFunction, J, a) -> DenseFunction:
     if m == 0:
         # a function of zero coordinates is not representable
         raise ValueError("restriction fixes every coordinate; index f.values by the point mask")
-    rest = [c for c in range(1, f.n + 1) if c not in Jset]
-    y = np.arange(1 << m)
-    idx = np.full(1 << m, a_mask, dtype=np.int64)
-    for j, c in enumerate(rest):
-        idx |= ((y >> j) & 1) << (c - 1)
-    return DenseFunction(m, f.values[idx], boolean=f.boolean, bounded=f.bounded)
+    # axis n - c holds coordinate c, as in part_spectra; flatten copies the view
+    idx = tuple((a_mask >> (c - 1)) & 1 if c in Jset else slice(None)
+                for c in range(f.n, 0, -1))
+    values = f.values.reshape((2,) * f.n)[idx].flatten()
+    return DenseFunction(m, values, boolean=f.boolean, bounded=f.bounded)
 
 
 # (J, point) pairs per bincount in trace_sums: 2^16 was the fastest of 2^15..2^20

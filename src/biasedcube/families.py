@@ -17,8 +17,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .cube import (DenseFunction, _bit_weights, _level_table, apply_coordinatewise, coords_of,
-                   expectation, mask_of, popcounts, trace_sums)
+from .cube import (DenseFunction, _bit_weights, _json_object, _level_table,
+                   apply_coordinatewise, coords_of, expectation, mask_of, popcounts,
+                   trace_sums)
 from .noise import CouplingParams, cross_term
 
 
@@ -82,6 +83,8 @@ class SetFamily:
     @staticmethod
     def from_text(text: str) -> "SetFamily":
         lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("empty family text: need an 'n k' header line")
         n, k = (int(t) for t in lines[0].split())
         members = frozenset(mask_of(int(t) for t in ln.split()) for ln in lines[1:])
         return SetFamily(n, k, members)
@@ -92,7 +95,7 @@ class SetFamily:
 
     @staticmethod
     def from_json(text: str) -> "SetFamily":
-        obj = json.loads(text)
+        obj = _json_object(text, "family", "n", "k", "members")
         return SetFamily(obj["n"], obj["k"],
                          frozenset(mask_of(m) for m in obj["members"]))
 

@@ -3,9 +3,11 @@ probability Lambda_rho(mu, nu), its gap and Lipschitz diagnostics, and
 Gaussian analogues of biased spectra with the Chop clamp.
 
 Lambda_rho(mu, nu) is the probability that two rho-correlated standard
-normals land below their respective thresholds Phi^{-1}(mu), Phi^{-1}(nu).
-It is computed by adaptive Gauss-Legendre quadrature of the 1-D integral
-int phi(x) Phi((t_nu - rho x)/sqrt(1-rho^2)) dx over x < t_mu.
+normals land below Phi^{-1}(mu) = h and Phi^{-1}(nu) = k.  It is computed
+from Sheppard's theta-form (Drezner-Wesolowsky 1990; Genz 2004),
+Phi(h) Phi(k) + (1/2pi) int_0^{asin rho} exp(-(h^2 - 2hk sin t + k^2) /
+(2 cos^2 t)) dt, whose positive integrand admits a relative tolerance even
+in the far tails, and clamped to the Frechet bounds.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cube import Spectrum, _binomial_estimate, level_powers
+from .cube import Spectrum, _binomial_estimate, _draw_chunks, level_powers
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -57,44 +59,48 @@ def phi_inv(mu: float) -> float:
     return t
 
 
-@dataclass(frozen=True)
-class LambdaQuery:
-    rho: float
-    mu: float
-    nu: float
-    tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError("rho must lie in [0,1)")
-        if not (0.0 <= self.mu <= 1.0 and 0.0 <= self.nu <= 1.0):
-            raise ValueError("mu, nu must lie in [0,1]")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
-
-
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
-def _gl_panel(fn, a: float, b: float) -> float:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * sum(w * fn(mid + half * x) for x, w in zip(_GL_NODES, _GL_WEIGHTS))
+def _sheppard(rho: float, h: float, k: float, tol: float) -> float:
+    """The theta-form at thresholds h, k, unclamped, over u = pi/2 - theta.
 
+    The exponent (h-k)^2 / (2 sin^2 u) + hk / (1 + cos u) does not cancel
+    when h ~ k and u ~ 0.  Each round evaluates all open 20-point
+    Gauss-Legendre panels at once; a panel is accepted once its halves
+    agree with it to tol relative.
+    """
+    d2, hk = 0.5 * (h - k) ** 2, h * k
+    tol = max(tol, 1e-13)  # tail exponents near 700 carry rounding of ~1.6e-13
 
-def _adaptive(fn, a: float, b: float, tol: float, depth: int = 0) -> float:
-    whole = _gl_panel(fn, a, b)
-    mid = 0.5 * (a + b)
-    split = _gl_panel(fn, a, mid) + _gl_panel(fn, mid, b)
-    if abs(whole - split) < tol or depth >= 30:
-        return split
-    return (_adaptive(fn, a, mid, 0.5 * tol, depth + 1)
-            + _adaptive(fn, mid, b, 0.5 * tol, depth + 1))
+    def panels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        half = 0.5 * (b - a)
+        u = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
+        return half * (np.exp(-d2 / np.sin(u) ** 2 - hk / (1.0 + np.cos(u))) @ _GL_WEIGHTS)
+
+    a, b = np.array([math.acos(rho)]), np.array([0.5 * math.pi])
+    whole, total = panels(a, b), 0.0
+    for depth in range(40):
+        m = 0.5 * (a + b)
+        left, right = np.split(panels(np.concatenate((a, m)), np.concatenate((m, b))), 2)
+        split = left + right
+        done = (np.abs(split - whole) <= tol * split) | (depth == 39)
+        total += float(np.sum(split[done]))
+        if done.all():
+            break
+        a, b = np.concatenate((a[~done], m[~done])), np.concatenate((m[~done], b[~done]))
+        whole = np.concatenate((left[~done], right[~done]))
+    return Phi(h) * Phi(k) + total / (2.0 * math.pi)
 
 
 def lambda_rho(rho: float, mu: float, nu: float, tol: float = 1e-10) -> float:
-    """Lambda_rho(mu, nu), the rho-correlated orthant probability."""
-    q = LambdaQuery(rho, mu, nu, tol)
+    """Lambda_rho(mu, nu), the rho-correlated orthant probability, to tol relative."""
+    if not 0.0 <= rho < 1.0:
+        raise ValueError("rho must lie in [0,1)")
+    if not (0.0 <= mu <= 1.0 and 0.0 <= nu <= 1.0):
+        raise ValueError("mu, nu must lie in [0,1]")
+    if tol <= 0.0:
+        raise ValueError("tolerance must be positive")
     if mu == 0.0 or nu == 0.0:
         return 0.0
     if mu == 1.0:
@@ -103,18 +109,8 @@ def lambda_rho(rho: float, mu: float, nu: float, tol: float = 1e-10) -> float:
         return mu
     if rho == 0.0:
         return mu * nu
-    t_mu = phi_inv(mu)
-    t_nu = phi_inv(nu)
-    s = math.sqrt(1.0 - rho * rho)
-
-    def integrand(x: float) -> float:
-        return phi(x) * Phi((t_nu - rho * x) / s)
-
-    lo = max(-39.0, t_mu - 45.0)
-    hi = min(t_mu, 39.0)
-    if hi <= lo:
-        return 0.0
-    return _adaptive(integrand, lo, hi, q.tolerance)
+    v = _sheppard(rho, phi_inv(mu), phi_inv(nu), tol)
+    return min(max(v, mu + nu - 1.0, 0.0), mu, nu)
 
 
 def lambda_mc(rho: float, mu: float, nu: float, samples: int, seed: int) -> tuple[float, float]:
@@ -124,14 +120,10 @@ def lambda_mc(rho: float, mu: float, nu: float, samples: int, seed: int) -> tupl
     rng = np.random.default_rng(seed)
     s = math.sqrt(1.0 - rho * rho)
     hits = 0
-    done = 0
-    chunk = 1_000_000
-    while done < samples:
-        m = min(chunk, samples - done)
+    for m in _draw_chunks(samples, 1_000_000):
         x = rng.standard_normal(m)
         y = rho * x + s * rng.standard_normal(m)
         hits += int(np.count_nonzero((x < t_mu) & (y < t_nu)))
-        done += m
     return _binomial_estimate(hits, samples)
 
 
@@ -216,16 +208,11 @@ def chop_distance(poly: GaussianPoly, samples: int, seed: int) -> tuple[float, f
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
-    done = 0
-    chunk = 2_000
-    while done < samples:
-        m = min(chunk, samples - done)
-        Z = rng.standard_normal((m, poly.n))
-        vals = poly.evaluate_many(Z)
+    for m in _draw_chunks(samples, 2_000):
+        vals = poly.evaluate_many(rng.standard_normal((m, poly.n)))
         d2 = (vals - np.clip(vals, 0.0, 1.0)) ** 2
         total += float(np.sum(d2))
         total_sq += float(np.sum(d2 ** 2))
-        done += m
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     return math.sqrt(mean), math.sqrt(var / samples)

@@ -78,6 +78,8 @@ class Hypergraph:
     @staticmethod
     def from_text(text: str) -> "Hypergraph":
         lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("empty hypergraph text: need a 'universe h' header line")
         universe, h = (int(t) for t in lines[0].split())
         if len(lines) - 1 != h:
             raise ValueError(f"expected {h} edge lines, found {len(lines) - 1}")

@@ -251,6 +251,44 @@ class TestRemoval:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+class TestMalformed:
+    """Malformed input exits 2 with one error line and writes no report."""
+
+    def assert_refused(self, argv, capsys, message):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and message in err
+
+    def test_empty_hypergraph_file(self, tmp_path, capsys):
+        path = tmp_path / "h.txt"
+        path.write_text("\n")
+        self.assert_refused(["removal", "--family", "star", "--hypergraph", f"file:{path}",
+                             "--n", "6", "--k", "2"], capsys, "empty hypergraph")
+
+    def test_empty_family_file(self, tmp_path, capsys):
+        path = tmp_path / "f.txt"
+        path.write_text("")
+        self.assert_refused(["count", "--n", "6", "--sizes", "2", "--families",
+                             f"file:{path}"], capsys, "empty family")
+
+    def test_function_json_without_values(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        path.write_text('{"n": 3}')
+        self.assert_refused(["curve", "--function", f"file:{path}"], capsys, "lacks values")
+
+    def test_family_json_without_members(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text('{"n": 6, "k": 2}')
+        self.assert_refused(["count", "--n", "6", "--sizes", "2", "--families",
+                             f"file:{path}"], capsys, "lacks members")
+
+    def test_empty_lambda_lists(self, capsys):
+        for option in ("--rho", "--mu", "--nu"):
+            argv = ["lambda", "--rho", "0.5", "--mu", "0.5", "--nu", "0.5"]
+            argv[argv.index(option) + 1] = ","
+            self.assert_refused(argv, capsys, f"{option} ','")
+
+
 class TestParser:
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit):

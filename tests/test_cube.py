@@ -326,6 +326,27 @@ class TestRestrictAverage:
         f = rand_fn(4)
         assert cube.restrict(f, [], {}) == f
 
+    def test_matches_pointwise_definition(self):
+        rng = np.random.default_rng(77)
+        for _ in range(60):
+            n = int(rng.integers(2, 9))
+            J = sorted(rng.choice(np.arange(1, n + 1), int(rng.integers(0, n)),
+                                  replace=False).tolist())
+            a = {c: int(rng.integers(2)) for c in J}
+            f = rand_fn(n)
+            rest = [c for c in range(1, n + 1) if c not in J]
+            fixed = cube.mask_of(c for c in J if a[c])
+            want = [f.values[fixed | cube.mask_of(rest[j] for j in range(len(rest)) if y >> j & 1)]
+                    for y in range(1 << len(rest))]
+            assert np.array_equal(cube.restrict(f, J, a).values, want)
+            assert cube.restrict(f, J, fixed) == cube.restrict(f, J, a)
+
+    def test_result_owns_its_table(self):
+        f = rand_fn(4)
+        before = f.values.copy()
+        cube.restrict(f, [4], {4: 0}).values[:] = -1.0  # a contiguous block of f
+        assert np.array_equal(f.values, before)
+
     def test_and_restriction_zero(self):
         f = DenseFunction.from_predicate(2, lambda x: x == 3)
         r = cube.restrict(f, [2], {2: 0})

@@ -6,7 +6,48 @@ from hypothesis import given, strategies as st
 
 from biasedcube import cube, gaussian
 from biasedcube.cube import DenseFunction
-from biasedcube.gaussian import GaussianPoly, Phi, lambda_rho, phi_inv
+from biasedcube.gaussian import GaussianPoly, Phi, lambda_rho, phi, phi_inv
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+
+def x_integral(rho, mu, nu, tol=1e-14):
+    """Oracle: int phi(x) Phi((k - rho x) / sqrt(1 - rho^2)) dx over x < h, by
+    recursive Gauss-Legendre panels with an absolute tolerance."""
+    h, k = phi_inv(mu), phi_inv(nu)
+    s = math.sqrt(1.0 - rho * rho)
+
+    def panel(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        return half * sum(w * phi(mid + half * x) * Phi((k - rho * (mid + half * x)) / s)
+                          for x, w in zip(_GL_NODES, _GL_WEIGHTS))
+
+    def adaptive(a, b, tol, depth):
+        whole, mid = panel(a, b), 0.5 * (a + b)
+        split = panel(a, mid) + panel(mid, b)
+        if abs(whole - split) < tol or depth >= 30:
+            return split
+        return adaptive(a, mid, 0.5 * tol, depth + 1) + adaptive(mid, b, 0.5 * tol, depth + 1)
+
+    return adaptive(max(-39.0, h - 45.0), min(h, 39.0), tol, 0)
+
+
+def tail_cells(seed, count):
+    """(rho, mu, nu) with rho up to 1 - 1e-7 and mu, nu down to 1e-300 or up
+    to 1 - 1e-7, mixed with central values."""
+    rng = np.random.default_rng(seed)
+    rho = np.where(rng.random(count) < 0.5, 1.0 - 10.0 ** rng.uniform(-7, 0, count),
+                   rng.uniform(0.0, 1.0, count))
+
+    def margin():
+        kind = rng.integers(0, 3, count)
+        return np.select([kind == 0, kind == 1],
+                         [10.0 ** rng.uniform(-300, -1e-9, count),
+                          1.0 - 10.0 ** rng.uniform(-7, -0.31, count)],
+                         rng.uniform(1e-3, 1.0 - 1e-3, count))
+
+    mu, nu = margin(), margin()
+    return [tuple(map(float, c)) for c in zip(rho, mu, nu)]
 
 
 class TestPhi:
@@ -56,9 +97,9 @@ class TestLambda:
 
     def test_sheppard_quarter(self):
         # closed form at mu = nu = 1/2: 1/4 + arcsin(rho)/(2 pi)
-        for rho in (0.1, 0.5, 0.9):
+        for rho in (0.1, 0.5, 0.9, 0.999):
             closed = 0.25 + math.asin(rho) / (2.0 * math.pi)
-            assert abs(lambda_rho(rho, 0.5, 0.5) - closed) < 1e-9
+            assert abs(lambda_rho(rho, 0.5, 0.5) - closed) <= 5e-16
 
     def test_symmetry_in_arguments(self):
         assert abs(lambda_rho(0.6, 0.3, 0.8) - lambda_rho(0.6, 0.8, 0.3)) < 1e-10
@@ -75,13 +116,32 @@ class TestLambda:
         # with phi_inv(1e-30) clipped to the old bracket this read 1.37e-25
         assert 0.0 < lambda_rho(0.999999, 1e-30, 0.5) <= 1e-30
 
+    def test_far_tail_cells_return_min(self):
+        # an absolute tolerance of 1e-10 gave 1.8e-265 and 1.17e-124 here
+        for rho, mu, nu in ((0.9999995, 1.33e-99, 3.39e-266), (0.9964, 0.96, 4.03e-125)):
+            low = min(mu, nu)
+            assert abs(lambda_rho(rho, mu, nu) - low) <= 2e-12 * low
+
+    def test_unclamped_sum_within_frechet_bounds(self):
+        # through the unclamped helper, so the clamp cannot hide an error
+        for rho, mu, nu in tail_cells(909, 5000):
+            v = gaussian._sheppard(rho, phi_inv(mu), phi_inv(nu), 1e-10)
+            lo, hi = max(0.0, mu + nu - 1.0), min(mu, nu)
+            assert lo * (1.0 - 2e-12) <= v <= hi * (1.0 + 2e-12), (rho, mu, nu, v)
+            assert lo <= lambda_rho(rho, mu, nu) <= hi
+
+    def test_central_cells_match_x_integral(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            rho, mu, nu = (float(v) for v in rng.uniform([0.01, 0.02, 0.02],
+                                                         [0.95, 0.98, 0.98]))
+            assert abs(lambda_rho(rho, mu, nu) - x_integral(rho, mu, nu)) <= 1e-13
+
     @given(st.floats(0.0, 1.0, exclude_max=True),
            st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_frechet_bounds(self, rho, mu, nu):
-        # lambda_rho is accurate to its absolute quadrature tolerance 1e-10,
-        # which is the only slack allowed here
         v = lambda_rho(rho, mu, nu)
-        assert max(0.0, mu + nu - 1.0) - 1e-10 <= v <= min(mu, nu) + 1e-10
+        assert max(0.0, mu + nu - 1.0) <= v <= min(mu, nu)
 
     def test_against_mc(self):
         est, se = gaussian.lambda_mc(0.6, 0.3, 0.7, samples=2_000_000, seed=5)
@@ -103,9 +163,16 @@ class TestLambda:
 
     def test_query_object_validation(self):
         with pytest.raises(ValueError):
-            gaussian.LambdaQuery(1.0, 0.5, 0.5)
+            lambda_rho(1.0, 0.5, 0.5)
         with pytest.raises(ValueError):
-            gaussian.LambdaQuery(0.5, 1.5, 0.5)
+            lambda_rho(0.5, 1.5, 0.5)
+
+    def test_mc_stream_pinned(self):
+        # values of the hand-rolled chunk loop this replaced, chunk 10^6
+        assert gaussian.lambda_mc(0.6, 0.3, 0.7, 2_500_000, seed=5) == (
+            0.2776472, 0.0002832378734083138)
+        assert gaussian.lambda_mc(0.6, 0.3, 0.7, 2_500_000, seed=17) == (
+            0.2772604, 0.00028311628041625584)
 
 
 class TestGaussianPoly:
@@ -162,6 +229,14 @@ class TestChop:
         poly = GaussianPoly(1, [0.5, 1.0])
         rms, se = gaussian.chop_distance(poly, 50_000, seed=0)
         assert rms > 0.1
+
+    def test_stream_pinned(self):
+        # values of the hand-rolled chunk loop this replaced, chunk 2000
+        poly = GaussianPoly(3, [0.5, 0.4, -0.3, 0.2, 0.1, -0.6, 0.3, 0.25])
+        assert np.array_equal(gaussian.chop_distance(poly, 11_500, seed=1),
+                              (0.6194193558078009, 0.012856708970511938))
+        assert np.array_equal(gaussian.chop_distance(poly, 11_500, seed=8),
+                              (0.6181726517809285, 0.013479280933511447))
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
