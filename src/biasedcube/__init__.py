@@ -51,7 +51,6 @@ from .families import (
     lift_measure_identity,
 )
 from .hypergraphs import (
-    FreenessInconclusive,
     Hypergraph,
     WorkBoundExceeded,
     almost_free_estimate,

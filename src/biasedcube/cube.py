@@ -24,13 +24,25 @@ FLAG_BOUNDED = 2
 _MAGIC = b"BQF1"
 
 
-def _json_object(text: str, what: str, *keys: str) -> dict:
-    """A JSON object holding every key in keys, or a ValueError naming the missing ones."""
+def _json_object(text: str, what: str, **shapes: str) -> dict:
+    """A JSON object whose values have the given shapes ("int", "number" or
+    "[shape]" for a list; a trailing "?" lets the key be missing), or a ValueError."""
     obj = json.loads(text)
-    missing = [k for k in keys if not isinstance(obj, dict) or k not in obj]
+    obj = obj if isinstance(obj, dict) else {}
+    missing = [k for k, shape in shapes.items() if k not in obj and not shape.endswith("?")]
     if missing:
         raise ValueError(f"{what} JSON lacks {', '.join(missing)}")
+    for key, shape in shapes.items():
+        if key in obj and not _fits(obj[key], shape.rstrip("?")):
+            raise ValueError(f"{what} JSON field {key} is not {shape.rstrip('?')}")
     return obj
+
+
+def _fits(value, shape: str) -> bool:
+    if shape.startswith("["):
+        return isinstance(value, list) and all(_fits(v, shape[1:-1]) for v in value)
+    return isinstance(value, (int, float) if shape == "number" else int) \
+        and not isinstance(value, bool)
 
 
 def _check_n(n: int, max_n: int = MAX_N) -> None:
@@ -275,7 +287,7 @@ class DenseFunction:
 
     @staticmethod
     def from_json(text: str) -> "DenseFunction":
-        obj = _json_object(text, "dense-function", "n", "values")
+        obj = _json_object(text, "dense-function", n="int", values="[number]", flags="int?")
         return DenseFunction(obj["n"], obj["values"],
                              boolean=bool(obj.get("flags", 0) & FLAG_BOOLEAN),
                              bounded=bool(obj.get("flags", 0) & FLAG_BOUNDED))

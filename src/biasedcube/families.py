@@ -57,6 +57,8 @@ class SetFamily:
 
     @staticmethod
     def star(n: int, k: int, center: int = 1) -> "SetFamily":
+        if k < 1:
+            raise ValueError(f"a star needs k >= 1, got k={k}")
         bit = 1 << (center - 1)
         members = frozenset(m | bit
                             for m in (mask_of(c) for c in
@@ -95,7 +97,7 @@ class SetFamily:
 
     @staticmethod
     def from_json(text: str) -> "SetFamily":
-        obj = _json_object(text, "family", "n", "k", "members")
+        obj = _json_object(text, "family", n="int", k="int", members="[[int]]")
         return SetFamily(obj["n"], obj["k"],
                          frozenset(mask_of(m) for m in obj["members"]))
 

@@ -6,7 +6,8 @@ A hypergraph is an ordered list of edge bitmasks over an explicit vertex
 universe.  A resolution at a vertex set S replaces each occurrence of a
 vertex of S by a fresh per-edge vertex; a trace is the tuple of edge
 intersections with a fixed set.  A family is (H, s)-free when it
-contains no copy of a resolution of H whose center has size at most s.
+contains no copy of a resolution of H whose center has size at most s;
+for a junta family, placing J in each resolution's Venn cells decides it.
 """
 
 from __future__ import annotations
@@ -14,17 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 
 from .cube import (_binomial_estimate, _bit_weights, _draw_chunks, _is_member,
                    _uniform_orders, coords_of, mask_of)
 from .families import JuntaFamily, SetFamily
-
-
-class FreenessInconclusive(Exception):
-    """Raised when the side conditions do not support a trusted verdict."""
 
 
 class WorkBoundExceeded(ValueError):
@@ -204,55 +201,62 @@ def _venn_signature(edges) -> tuple:
     return tuple(sig)
 
 
-def _trace_embeds(trace, jf: JuntaFamily) -> bool:
-    """Is there an injection of the trace's vertices into J whose image
-    tuple lies inside the generator G?"""
-    used = 0
-    for t in trace:
-        used |= t
-    verts = coords_of(used)
-    if len(verts) > len(jf.J):
-        return False
-    for image in permutations(jf.J, len(verts)):
-        vmap = {v: image[i] for i, v in enumerate(verts)}
-        ok = True
-        for t in trace:
-            g = mask_of(vmap[v] for v in coords_of(t))
-            if g not in jf.G:
-                ok = False
-                break
-        if ok:
+def _admissible_resolutions(Hk: Hypergraph, s: int):
+    """Resolutions of Hk with at most s center vertices.  Resolving a private
+    vertex leaves the copy type unchanged, so only center subsets are resolved."""
+    if s < 0:
+        raise ValueError(f"center bound s must be non-negative, got {s}")
+    cverts = coords_of(Hk.center())
+    for size in range(len(cverts) + 1):
+        for S in combinations(cverts, size):
+            R = resolve(Hk, S)
+            if R.center().bit_count() <= s:
+                yield R
+
+
+def _venn_pattern_fits(cells, jf: JuntaFamily) -> bool:
+    """Does <G> hold a copy whose Venn cell T has cells[T - 1] vertices?
+
+    Each coordinate of J goes to a cell T with room left (it then lies in
+    exactly the edges of T) or outside the copy (T = 0).  A placement is
+    a copy when every edge's trace on J is in G and the slots left fit in
+    the n - |J| points outside J.  A prefix of the placement is cut when
+    a trace is no prefix of a member of G, or the rest cannot close the gap.
+    """
+    bits = [1 << (c - 1) for c in jf.J]
+    prefixes = [{g & sum(bits[:d]) for g in jf.G} for d in range(len(bits) + 1)]
+    left = [len(bits), *cells]  # free slots per cell; T = 0 takes every coordinate
+    room = jf.n - len(bits)
+    nonempty = [T for T, c in enumerate(left) if c]
+
+    def place(d, edge_traces, need):
+        if need - (len(bits) - d) > room or any(t not in prefixes[d] for t in edge_traces):
+            return False
+        if d == len(bits):
             return True
-    return False
+        for T in nonempty:
+            if left[T]:
+                left[T] -= 1
+                found = place(d + 1, tuple(t | bits[d] if T >> i & 1 else t
+                                           for i, t in enumerate(edge_traces)), need - (T > 0))
+                left[T] += 1
+                if found:
+                    return True
+        return False
+
+    return place(0, (0,) * (len(left).bit_length() - 1), sum(cells))
 
 
 def junta_is_Hs_free(jf: JuntaFamily, H: Hypergraph, s: int) -> bool:
-    """(H, s)-freeness of the generated family, decided through traces.
+    """Exact (H, s)-freeness of <G> = {A : A cap J in G}, at any n and k.
 
-    The family is free of resolutions-with-small-center exactly when no
-    trace of the k-expanded H with center at most s embeds into the
-    generator.  Two arithmetic side conditions back the two directions:
-    h*k <= n - |J| guarantees disjoint completions outside J (so a found
-    trace really yields a copy), and k >= max_i |A_i cap center(H)| + |J|
-    guarantees every copy leaves a visible trace (each edge keeps enough
-    private vertices).  A verdict whose supporting condition fails raises
-    FreenessInconclusive.
+    <G> holds a copy of a resolution R of the k-expanded H exactly when J
+    can be placed into R's Venn cells (_venn_pattern_fits).  Resolutions
+    with equal Venn signatures are one copy type and are tried once.
     """
     Hk = k_expand(H, jf.k)
-    n, k, h = jf.n, jf.k, Hk.h
-    center = Hk.center()
-    c_max = max((bin(e & center).count("1") for e in Hk.edges), default=0)
-
-    if any(_trace_embeds(trace, jf)
-           for trace in traces(Hk, support_bound=len(jf.J), center_bound=s)):
-        if h * k > n - len(jf.J):
-            raise FreenessInconclusive(
-                f"trace found but h*k={h*k} > n-|J|={n - len(jf.J)}")
-        return False
-    if k < c_max + len(jf.J):
-        raise FreenessInconclusive(
-            f"no trace found but k={k} < c_max+|J|={c_max + len(jf.J)}")
-    return True
+    signatures = {_venn_signature(R.edges) for R in _admissible_resolutions(Hk, s)}
+    return not any(_venn_pattern_fits(sig, jf) for sig in signatures)
 
 
 def junta_is_Hs_free_exhaustive(jf: JuntaFamily, H: Hypergraph, s: int,
@@ -262,30 +266,17 @@ def junta_is_Hs_free_exhaustive(jf: JuntaFamily, H: Hypergraph, s: int,
 
     Copies are recognized by Venn signatures: an ordered tuple of k-sets
     is a copy of a resolution iff its signature matches the signature of
-    that resolution under some edge reordering.  Resolving a private
-    vertex leaves the signature unchanged, so S ranges over the center.
+    that resolution under some edge reordering.
     """
     Hk = k_expand(H, jf.k)
     h = Hk.h
-    admissible = set()
-    cverts = coords_of(Hk.center())
-    for size in range(len(cverts) + 1):
-        for S in combinations(cverts, size):
-            R = resolve(Hk, S)
-            if bin(R.center()).count("1") > s:
-                continue
-            for perm in permutations(range(h)):
-                admissible.add(_venn_signature([R.edges[i] for i in perm]))
+    admissible = {_venn_signature([R.edges[i] for i in perm])
+                  for R in _admissible_resolutions(Hk, s)
+                  for perm in permutations(range(h))}
     members = sorted(jf.generated().members)
     if len(members) ** h > work_bound:
         raise WorkBoundExceeded("work bound exceeded; shrink the instance")
-
-    def rec(chosen):
-        if len(chosen) == h:
-            return _venn_signature(chosen) in admissible
-        return any(rec(chosen + [m]) for m in members)
-
-    return not rec([])
+    return not any(_venn_signature(t) in admissible for t in product(members, repeat=h))
 
 
 def random_copy(H: Hypergraph, n: int, seed) -> tuple:

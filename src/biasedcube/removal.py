@@ -20,7 +20,6 @@ from .cube import (DenseFunction, apply_coordinatewise, expectation, mask_of, pa
 from .noise import CouplingParams, _submasks, cross_term, is_regular, monotonicity_defect
 from .families import JuntaFamily, SetFamily, _slice_measures
 from .hypergraphs import (
-    FreenessInconclusive,
     Hypergraph,
     WorkBoundExceeded,
     almost_free_estimate,
@@ -220,7 +219,7 @@ def removal_pipeline(F: SetFamily, H: Hypergraph, s: int, seed: int = 0,
 
     (a) almost-H-freeness of F (exact when affordable, else MC);
     (b) greedy junta approximation with the escaping mass mu(F minus <G>);
-    (c) (H, s)-freeness of the junta via the trace predicate;
+    (c) exact (H, s)-freeness of the junta, from Venn-cell placements of J;
     (d) converse decay: almost-freeness of the junta along the n-ladder
         n, n+2, n+4, checked against the n^-(s+1) rate with a factor-3 ratio band.
     """
@@ -244,11 +243,7 @@ def removal_pipeline(F: SetFamily, H: Hypergraph, s: int, seed: int = 0,
                        "escaping_mass": escape}
 
     # (c)
-    try:
-        free = junta_is_Hs_free(jf, H, s)
-        report["freeness"] = {"free": free}
-    except FreenessInconclusive as exc:
-        report["freeness"] = {"free": None, "inconclusive": str(exc)}
+    report["freeness"] = {"free": junta_is_Hs_free(jf, H, s)}
 
     # (d)
     decay = []

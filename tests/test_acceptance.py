@@ -224,13 +224,7 @@ def _freeness_instance(rng):
         if len(edges) < h:
             continue
         H = Hypergraph(u, tuple(mask_of(e) for e in edges))
-        Hk = k_expand(H, k)
-        c = Hk.center()
-        c_max = max(bin(e & c).count("1") for e in Hk.edges)
-        jcap = min(4, k - c_max, n - h * k)
-        if jcap < 1:
-            continue
-        j = int(rng.integers(1, jcap + 1))
+        j = int(rng.integers(1, 5))
         J = tuple(range(1, j + 1))
         subs = [mask_of(S) for size in range(j + 1)
                 for S in combinations(J, size)]
@@ -239,18 +233,30 @@ def _freeness_instance(rng):
         return JuntaFamily(n, k, J, G), H, s
 
 
+def _breaks_trace_side_condition(jf, H):
+    """Does the instance break h*k <= n - |J| or k >= c_max + |J|, the
+    conditions under which the paper's trace criterion decides freeness?"""
+    Hk = k_expand(H, jf.k)
+    c_max = max((e & Hk.center()).bit_count() for e in Hk.edges)
+    return Hk.h * jf.k > jf.n - len(jf.J) or jf.k < c_max + len(jf.J)
+
+
 def test_criterion_7_freeness_equivalence(capsys):
-    with criterion(capsys, 7, "trace freeness vs exhaustive search (200 instances)"):
+    with criterion(capsys, 7, "Venn-cell freeness vs exhaustive search (200 instances)"):
         rng = np.random.default_rng(1007)
         verdicts = {True: 0, False: 0}
+        broken = 0
         for _ in range(200):
             jf, H, s = _freeness_instance(rng)
             fast = hypergraphs.junta_is_Hs_free(jf, H, s)
             slow = hypergraphs.junta_is_Hs_free_exhaustive(jf, H, s)
             assert fast == slow
             verdicts[fast] += 1
+            broken += _breaks_trace_side_condition(jf, H)
         # both outcomes must actually occur for the check to mean anything
         assert verdicts[True] > 10 and verdicts[False] > 10
+        # and many must lie where the trace criterion cannot decide
+        assert broken >= 50
 
 
 def test_criterion_8_matching_suite(capsys):

@@ -282,6 +282,27 @@ class TestMalformed:
         self.assert_refused(["count", "--n", "6", "--sizes", "2", "--families",
                              f"file:{path}"], capsys, "lacks members")
 
+    def test_function_json_with_wrong_types(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        for fields, message in (('"n": "3"', "field n is not int"),
+                                ('"n": 3, "flags": "1"', "field flags is not int")):
+            path.write_text('{%s, "values": [0, 0, 0, 0, 0, 0, 0, 1]}' % fields)
+            self.assert_refused(["curve", "--function", f"file:{path}"], capsys, message)
+
+    def test_family_json_with_string_members(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text('{"n": 6, "k": 2, "members": [["a"]]}')
+        self.assert_refused(["count", "--n", "6", "--sizes", "2,2", "--families",
+                             f"file:{path},full"], capsys, "field members is not [[int]]")
+
+    def test_negative_s(self, capsys):
+        self.assert_refused(["removal", "--family", "star", "--hypergraph", "i21",
+                             "--n", "9", "--k", "3", "--s", "-1"], capsys, "non-negative")
+
+    def test_star_of_empty_sets(self, capsys):
+        self.assert_refused(["removal", "--family", "star", "--hypergraph", "i21",
+                             "--n", "9", "--k", "0"], capsys, "a star needs k >= 1")
+
     def test_empty_lambda_lists(self, capsys):
         for option in ("--rho", "--mu", "--nu"):
             argv = ["lambda", "--rho", "0.5", "--mu", "0.5", "--nu", "0.5"]

@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from biasedcube import cube, hypergraphs as hg
 from biasedcube.cube import coords_of, mask_of
 from biasedcube.families import JuntaFamily, SetFamily
 from biasedcube.hypergraphs import (
-    FreenessInconclusive,
     Hypergraph,
     k_expand,
     matching_hypergraph,
@@ -129,12 +128,19 @@ class TestFreeness:
         jf2 = JuntaFamily(9, 3, (1, 2), frozenset([mask_of([1, 2])]))
         assert hg.junta_is_Hs_free(jf2, H, s=0)
 
-    def test_inconclusive_when_too_crowded(self):
-        # a matching trace embeds (0 is a generator), but h*k > n - |J|
-        # blocks the disjoint-completion argument
+    def test_crowded_matching_does_not_fit(self):
+        # <G> holds every 2-set of [5], and a matching trace embeds in G,
+        # but three disjoint 2-sets need 6 points (h*k > n - |J|)
         jf = JuntaFamily(5, 2, (1,), frozenset([0, mask_of([1])]))
-        with pytest.raises(FreenessInconclusive):
-            hg.junta_is_Hs_free(jf, matching_hypergraph(3, 1), s=1)
+        H = matching_hypergraph(3, 1)
+        assert hg.junta_is_Hs_free(jf, H, s=1) is True
+        assert hg.junta_is_Hs_free_exhaustive(jf, H, s=1) is True
+
+    def test_negative_s_rejected(self):
+        jf = JuntaFamily(9, 3, (1,), frozenset([mask_of([1])]))
+        for decide in (hg.junta_is_Hs_free, hg.junta_is_Hs_free_exhaustive):
+            with pytest.raises(ValueError, match="non-negative"):
+                decide(jf, sunflower_hypergraph(2, 2), -1)
 
     def test_matches_exhaustive_oracle_small(self):
         rng = np.random.default_rng(77)
@@ -145,12 +151,73 @@ class TestFreeness:
                 J = (1,)
                 G = frozenset(m for m in (0, 1) if rng.random() < 0.6)
                 jf = JuntaFamily(n, k, J, G)
-                try:
-                    fast = hg.junta_is_Hs_free(jf, H, s=1)
-                except FreenessInconclusive:
-                    continue
+                fast = hg.junta_is_Hs_free(jf, H, s=1)
                 slow = hg.junta_is_Hs_free_exhaustive(jf, H, s=1)
                 assert fast == slow
+
+    def test_trace_criterion_under_side_conditions(self):
+        # the paper's trace criterion: <G> is (H, s)-free iff no trace of
+        # H_k with center at most s embeds into G by an injection into J.
+        # It is exact when h*k <= n - |J| (a found trace completes to a
+        # copy outside J) and k >= c_max + |J| (every copy leaves a trace).
+        rng = np.random.default_rng(4242)
+        verdicts = {True: 0, False: 0}
+        while sum(verdicts.values()) < 120:
+            H = random_hypergraph(rng, int(rng.integers(2, 4)), int(rng.integers(2, 5)))
+            k = H.max_edge_size() + int(rng.integers(0, 3))
+            Hk = k_expand(H, k)
+            c_max = max((e & Hk.center()).bit_count() for e in Hk.edges)
+            if k - c_max < 1:
+                continue
+            j = int(rng.integers(1, min(4, k - c_max) + 1))
+            n = Hk.h * k + j + int(rng.integers(0, 6))
+            jf = random_junta(rng, n, k, j)
+            s = int(rng.integers(0, 3))
+            fast = hg.junta_is_Hs_free(jf, H, s)
+            assert fast == trace_verdict(jf, Hk, s)
+            verdicts[fast] += 1
+        assert min(verdicts.values()) >= 10
+
+
+def random_hypergraph(rng, h, k):
+    """h distinct random edges of sizes 1..k over [h*k]."""
+    edges = set()
+    while len(edges) < h:
+        size = int(rng.integers(1, k + 1))
+        edges.add(mask_of(int(v) for v in rng.choice(h * k, size=size, replace=False) + 1))
+    return Hypergraph(h * k, tuple(sorted(edges)))
+
+
+def random_junta(rng, n, k, j):
+    """J = [j] and a generator keeping each subset of J with chance 1/2."""
+    J = tuple(range(1, j + 1))
+    subs = [mask_of(S) for size in range(j + 1) for S in combinations(J, size)]
+    return JuntaFamily(n, k, J, frozenset(m for m in subs if rng.random() < 0.5))
+
+
+def trace_verdict(jf, Hk, s):
+    """Freeness by the trace criterion, built from the public traces."""
+    for trace in traces(Hk, support_bound=len(jf.J), center_bound=s):
+        verts = coords_of(mask_of(v for t in trace for v in coords_of(t)))
+        for image in permutations(jf.J, len(verts)):
+            vmap = dict(zip(verts, image))
+            if all(mask_of(vmap[v] for v in coords_of(t)) in jf.G for t in trace):
+                return False
+    return True
+
+
+class TestLinearK:
+    """The k-linear-in-n regime, on the star junta {A : 1 in A} over J = [j]."""
+
+    @pytest.mark.parametrize("n, k, j", [(1000, 333, 1), (1000, 333, 3),
+                                         (1000, 333, 4), (200, 40, 3)])
+    def test_star_junta_verdicts(self, n, k, j):
+        J = tuple(range(1, j + 1))
+        G = frozenset(mask_of(S) for size in range(1, j + 1)
+                      for S in combinations(J, size) if 1 in S)
+        jf = JuntaFamily(n, k, J, G)
+        assert hg.junta_is_Hs_free(jf, sunflower_hypergraph(2, 2), s=1) is False
+        assert hg.junta_is_Hs_free(jf, matching_hypergraph(2, 1), s=0) is True
 
 
 class TestCounting:

@@ -425,6 +425,10 @@ class TestPipeline:
         with pytest.raises(ValueError, match="edge sizes"):
             removal.removal_pipeline(SetFamily.star(8, 3), matching_hypergraph(2, 2), s=0)
 
+    def test_negative_s_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            removal.removal_pipeline(SetFamily.star(9, 3), sunflower_hypergraph(2, 3), s=-1)
+
     def test_scale_guard(self):
         with pytest.raises(ValueError):
             removal.removal_pipeline(SetFamily.full(15, 3),
