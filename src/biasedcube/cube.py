@@ -462,10 +462,7 @@ def average_over(f: DenseFunction, T, p: float) -> DenseFunction:
 
 def influence(f: DenseFunction, i: int, p: float) -> float:
     """Inf_i = sum over S containing i of fhat(S)^2."""
-    if not 1 <= i <= f.n:
-        raise ValueError("coordinate out of range")
-    with_i = transform(f, p).coeffs.reshape(-1, 2, 1 << (i - 1))[:, 1, :]
-    return float(np.sum(with_i ** 2))
+    return noisy_influence(f, i, 1.0, p)
 
 
 def influence_definitional(f: DenseFunction, i: int, p: float) -> float:

@@ -112,6 +112,8 @@ class JuntaFamily:
     G: frozenset  # masks over the bits of J (global bit positions)
 
     def __post_init__(self):
+        if list(self.J) != _coords_in(self.J, self.n):
+            raise ValueError(f"J must be strictly increasing, got {self.J}")
         jmask = mask_of(self.J)
         for g in self.G:
             if g & ~jmask:
@@ -130,13 +132,21 @@ class JuntaFamily:
         return SetFamily(self.n, self.k, members)
 
 
+def _coords_in(J, n: int) -> list:
+    """J's distinct coordinates in order, or a ValueError if one leaves [n]."""
+    Jset = sorted(set(J))
+    if Jset and not 1 <= Jset[0] <= Jset[-1] <= n:
+        raise ValueError("J leaves the ground set")
+    return Jset
+
+
 def family_slice(F: SetFamily, J, B) -> SetFamily:
     """F_J^B: members containing exactly B inside J, with J cut away.
 
     The result lives on the compacted ground set [n] minus J and is
     (k - |B|)-uniform.
     """
-    Jset = sorted(set(J))
+    Jset = _coords_in(J, F.n)
     Bset = set(B)
     if not Bset <= set(Jset):
         raise ValueError("B must be a subset of J")
@@ -232,11 +242,9 @@ def is_fair(F: SetFamily, J, eps: float) -> bool:
 
     Slices with |B| > k are empty by uniformity and are skipped.
     """
-    Jset = sorted(set(J))
+    Jset = _coords_in(J, F.n)
     if len(Jset) > F.n - F.k:
         raise ValueError("J too large: need |J| <= n - k")
-    if Jset and not 1 <= Jset[0] <= Jset[-1] <= F.n:
-        raise ValueError("J leaves the ground set")
     return not np.any(_slice_measures(F, [Jset]) < (1.0 - eps) * F.measure)
 
 

@@ -89,6 +89,22 @@ class CoupledSampler:
         return x.astype(np.int64), y.astype(np.int64)
 
 
+def _operator(f: DenseFunction, method: str, p_in: float, p_out: float, rho: float,
+              kernel: tuple) -> DenseFunction:
+    """The one route core behind the three operators.
+
+    "spectral" transforms at p_in, scales fhat(S) by rho^|S| and rebuilds
+    at p_out; "definitional" applies the 2x2 kernel on every coordinate.
+    """
+    if method == "spectral":
+        s = transform(f, p_in)
+        s.coeffs *= level_powers(rho, f.n)
+        return inverse_transform(Spectrum(f.n, p_out, s.coeffs))
+    if method == "definitional":
+        return DenseFunction(f.n, apply_coordinatewise(f.values, f.n, [kernel] * f.n))
+    raise ValueError(f"unknown method {method!r}")
+
+
 def noise_operator(f: DenseFunction, rho: float, p: float,
                    method: str = "spectral") -> DenseFunction:
     """T_{rho,p}: rerandomize each coordinate with probability 1 - rho.
@@ -98,17 +114,10 @@ def noise_operator(f: DenseFunction, rho: float, p: float,
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho outside [0,1]")
-    if method == "spectral":
-        s = transform(f, p)
-        s.coeffs *= level_powers(rho, f.n)
-        return inverse_transform(s)
-    if method == "definitional":
-        # a coordinate at 0 (at 1) reads 1 after resampling w.p. a0 (a1)
-        a0 = (1.0 - rho) * p
-        a1 = rho + (1.0 - rho) * p
-        kernel = (1.0 - a0, a0, 1.0 - a1, a1)
-        return DenseFunction(f.n, apply_coordinatewise(f.values, f.n, [kernel] * f.n))
-    raise ValueError(f"unknown method {method!r}")
+    # a coordinate at 0 (at 1) reads 1 after resampling w.p. a0 (a1)
+    a0 = (1.0 - rho) * p
+    a1 = rho + (1.0 - rho) * p
+    return _operator(f, method, p, p, rho, (1.0 - a0, a0, 1.0 - a1, a1))
 
 
 def directed_up(f: DenseFunction, cp: CouplingParams,
@@ -118,31 +127,17 @@ def directed_up(f: DenseFunction, cp: CouplingParams,
     Input is read at bias q, output lives at bias p.  Spectrally the
     coefficients are scaled by rho^|S| and re-tagged to the p basis.
     """
-    if method == "spectral":
-        s = transform(f, cp.q)
-        s.coeffs *= level_powers(cp.rho, f.n)
-        return inverse_transform(Spectrum(f.n, cp.p, s.coeffs))
-    if method == "definitional":
-        r = cp.q / cp.p
-        # y_i = 0 forces x_i = 0; y_i = 1 keeps x_i = 1 w.p. q/p
-        kernel = (1.0, 0.0, 1.0 - r, r)
-        return DenseFunction(f.n, apply_coordinatewise(f.values, f.n, [kernel] * f.n))
-    raise ValueError(f"unknown method {method!r}")
+    r = cp.q / cp.p
+    # y_i = 0 forces x_i = 0; y_i = 1 keeps x_i = 1 w.p. q/p
+    return _operator(f, method, cp.q, cp.p, cp.rho, (1.0, 0.0, 1.0 - r, r))
 
 
 def directed_down(g: DenseFunction, cp: CouplingParams,
                   method: str = "spectral") -> DenseFunction:
     """T_{p->q} g: the conditional expectation E[g(y) | x] along D(q,p)."""
-    if method == "spectral":
-        s = transform(g, cp.p)
-        s.coeffs *= level_powers(cp.rho, g.n)
-        return inverse_transform(Spectrum(g.n, cp.q, s.coeffs))
-    if method == "definitional":
-        r = (cp.p - cp.q) / (1.0 - cp.q)
-        # x_i = 1 forces y_i = 1; x_i = 0 raises y_i to 1 w.p. (p-q)/(1-q)
-        kernel = (1.0 - r, r, 0.0, 1.0)
-        return DenseFunction(g.n, apply_coordinatewise(g.values, g.n, [kernel] * g.n))
-    raise ValueError(f"unknown method {method!r}")
+    r = (cp.p - cp.q) / (1.0 - cp.q)
+    # x_i = 1 forces y_i = 1; x_i = 0 raises y_i to 1 w.p. (p-q)/(1-q)
+    return _operator(g, method, cp.p, cp.q, cp.rho, (1.0 - r, r, 0.0, 1.0))
 
 
 def cross_term(f: DenseFunction, g: DenseFunction, cp: CouplingParams) -> float:

@@ -105,6 +105,13 @@ class TestCurve:
         mu = json.loads(out)["body"]["curve"]["mu"]
         assert abs(mu[0] - (1 - 0.8 ** 4)) < 1e-12
 
+    def test_flat_curve_p_c_null(self, tmp_path, capsys):
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps({"n": 4, "values": [0.5] * 16}))
+        code, out, _ = run(["curve", "--function", f"file:{path}"], capsys)
+        assert code == 0
+        assert json.loads(out)["body"]["curve"]["p_c"] is None
+
     def test_named_tables_match_predicates(self):
         from biasedcube.cube import DenseFunction
         preds = {"or": lambda n: lambda x: x != 0,

@@ -393,6 +393,14 @@ class TestInfluences:
             assert abs(cube.influence(f, i, 0.45)
                        - cube.influence_definitional(f, i, 0.45)) < 1e-9
 
+    def test_influence_is_noisy_influence_at_rho_one(self):
+        for n in (1, 4, 9):
+            for f in (rand_fn(n), DenseFunction(n, (RNG.random(1 << n) < 0.5).astype(float),
+                                                boolean=True)):
+                for i in range(1, n + 1):
+                    for p in (0.1, 0.45, 0.83):
+                        assert cube.influence(f, i, p) == cube.noisy_influence(f, i, 1.0, p)
+
     def test_dictator_stability(self):
         f = DenseFunction.dictator(1, 1)
         assert abs(cube.stability(f, 0.8, 0.5) - 0.45) < 1e-12

@@ -97,6 +97,12 @@ class TestSlices:
         with pytest.raises(ValueError):
             families.family_slice(SetFamily.full(5, 2), [1], [2])
 
+    def test_slice_j_outside_ground_set(self):
+        # [9] at n = 6 once returned the whole family, as if J were empty
+        for J in ([9], [0], [2, 7]):
+            with pytest.raises(ValueError, match="leaves the ground set"):
+                families.family_slice(SetFamily.full(6, 2), J, [])
+
     def test_slice_consistency_total_count(self):
         # members split across slices by their intersection with J
         F = SetFamily.random(8, 3, 0.5, seed=3)
@@ -255,6 +261,22 @@ class TestJuntaFamily:
     def test_generator_confined_to_j(self):
         with pytest.raises(ValueError):
             JuntaFamily(6, 2, (1,), frozenset([mask_of([2])]))
+
+    def test_repeated_j_refused(self):
+        # J = (1, 1) once read as "free" where J = (1,) reads "not free"
+        with pytest.raises(ValueError, match="strictly increasing"):
+            JuntaFamily(6, 2, (1, 1), frozenset([mask_of([1])]))
+
+    def test_unsorted_j_refused(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            JuntaFamily(6, 2, (3, 1), frozenset([mask_of([1])]))
+
+    def test_j_outside_ground_set_refused(self):
+        # J = (9,) at n = 6 once behaved as if J were empty
+        for J in ((9,), (0,), (1, 7)):
+            for G in (frozenset(), frozenset([0])):
+                with pytest.raises(ValueError, match="leaves the ground set"):
+                    JuntaFamily(6, 2, J, G)
 
     def test_generated_star(self):
         jf = JuntaFamily(6, 3, (1,), frozenset([mask_of([1])]))

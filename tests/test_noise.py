@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -31,6 +31,41 @@ def sample_many_int64(cp, n, seed, count):
         x |= (u < cp.q).astype(np.int64) << i
         y |= (u < cp.p).astype(np.int64) << i
     return x, y
+
+
+def noise_operator_oracle(f, rho, p, method):
+    """Oracle for noise_operator: its own copy of both routes, as it carried
+    them before the three operators shared one route core."""
+    if method == "spectral":
+        s = cube.transform(f, p)
+        s.coeffs *= cube.level_powers(rho, f.n)
+        return cube.inverse_transform(s)
+    a0 = (1.0 - rho) * p
+    a1 = rho + (1.0 - rho) * p
+    kernel = (1.0 - a0, a0, 1.0 - a1, a1)
+    return DenseFunction(f.n, cube.apply_coordinatewise(f.values, f.n, [kernel] * f.n))
+
+
+def directed_up_oracle(f, cp, method):
+    """Oracle for directed_up, with its own copy of both routes."""
+    if method == "spectral":
+        s = cube.transform(f, cp.q)
+        s.coeffs *= cube.level_powers(cp.rho, f.n)
+        return cube.inverse_transform(cube.Spectrum(f.n, cp.p, s.coeffs))
+    r = cp.q / cp.p
+    kernel = (1.0, 0.0, 1.0 - r, r)
+    return DenseFunction(f.n, cube.apply_coordinatewise(f.values, f.n, [kernel] * f.n))
+
+
+def directed_down_oracle(g, cp, method):
+    """Oracle for directed_down, with its own copy of both routes."""
+    if method == "spectral":
+        s = cube.transform(g, cp.p)
+        s.coeffs *= cube.level_powers(cp.rho, g.n)
+        return cube.inverse_transform(cube.Spectrum(g.n, cp.q, s.coeffs))
+    r = (cp.p - cp.q) / (1.0 - cp.q)
+    kernel = (1.0 - r, r, 0.0, 1.0)
+    return DenseFunction(g.n, cube.apply_coordinatewise(g.values, g.n, [kernel] * g.n))
 
 
 def subcube_deviations(f, r, p):
@@ -215,6 +250,46 @@ class TestDirectedOperators:
         f = DenseFunction.from_predicate(5, lambda x: bin(x).count("1") >= 3)
         up = noise.directed_up(f, cp, method="definitional")
         assert np.all(up.values <= f.values + 1e-12)
+
+
+class TestRouteCore:
+    """Both routes of the three operators, bit for bit against their oracles."""
+
+    PAIRS = [tuple(sorted(float(v) for v in np.random.default_rng(seed).uniform(0.05, 0.95, 2)))
+             for seed in range(6)]
+
+    @pytest.mark.parametrize("method", ["spectral", "definitional"])
+    def test_directed_operators_match_oracles(self, method):
+        rng = np.random.default_rng(31)
+        for n in range(1, 11):
+            for boolean in (False, True):
+                v = rng.random(1 << n)
+                f = DenseFunction(n, (v < 0.5).astype(float) if boolean else v, boolean=boolean)
+                for q, p in self.PAIRS:
+                    cp = CouplingParams(q, p)
+                    assert np.array_equal(noise.directed_up(f, cp, method).values,
+                                          directed_up_oracle(f, cp, method).values)
+                    assert np.array_equal(noise.directed_down(f, cp, method).values,
+                                          directed_down_oracle(f, cp, method).values)
+
+    @pytest.mark.parametrize("method", ["spectral", "definitional"])
+    def test_noise_operator_matches_oracle(self, method):
+        rng = np.random.default_rng(32)
+        for n in range(1, 11):
+            for boolean in (False, True):
+                v = rng.random(1 << n)
+                f = DenseFunction(n, (v < 0.5).astype(float) if boolean else v, boolean=boolean)
+                for (_, p), rho in product(self.PAIRS, (0.0, 0.37, 1.0)):
+                    assert np.array_equal(noise.noise_operator(f, rho, p, method).values,
+                                          noise_operator_oracle(f, rho, p, method).values)
+
+    def test_unknown_method(self):
+        f, cp = rand_fn(3), CouplingParams(0.2, 0.5)
+        for call in (lambda: noise.noise_operator(f, 0.5, 0.3, "fft"),
+                     lambda: noise.directed_up(f, cp, "fft"),
+                     lambda: noise.directed_down(f, cp, "fft")):
+            with pytest.raises(ValueError, match="unknown method 'fft'"):
+                call()
 
 
 class TestCrossTerm:

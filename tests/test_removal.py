@@ -332,6 +332,16 @@ class TestThresholdCurve:
         curve = removal.threshold_curve(DenseFunction.constant(4, 0.0), [0.5])
         assert curve.p_c is None
 
+    def test_flat_curve_has_no_critical_probability(self):
+        # mu_p = 1/2 for every p; the end residuals round to 0.0 or -5.6e-17
+        for n in range(1, 13):
+            curve = removal.threshold_curve(DenseFunction.constant(n, 0.5), [0.2, 0.7])
+            assert curve.p_c is None
+            if n >= 2:
+                x = np.arange(1 << n)
+                f = DenseFunction(n, 0.5 + (x & 1) - (x >> 1 & 1))
+                assert removal.threshold_curve(f, [0.3]).p_c is None
+
 
 class TestRobustFK:
     def test_majority_instances_pass(self):
