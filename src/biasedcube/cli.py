@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -276,6 +277,8 @@ def main(argv=None) -> int:
     try:
         if args.samples < 1:
             raise ValueError(f"--samples must be a positive integer, got {args.samples}")
+        if not math.isfinite(args.tol) or args.tol < 0:
+            raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
         if args.command == "verify":
             return cmd_verify(cfg)
         if args.command == "curve":

@@ -73,6 +73,8 @@ class CoupledSampler:
         One rng.random(count) per coordinate, coordinate-major.  The masks
         are built in place in the narrowest unsigned type that holds n bits.
         """
+        if count < 0:
+            raise ValueError(f"sample count must be non-negative, got {count}")
         q, p = self.params.q, self.params.p
         width = np.min_scalar_type((1 << self.n) - 1)
         x = np.zeros(count, dtype=width)
@@ -97,9 +99,11 @@ def _operator(f: DenseFunction, method: str, p_in: float, p_out: float, rho: flo
     at p_out; "definitional" applies the 2x2 kernel on every coordinate.
     """
     if method == "spectral":
-        s = transform(f, p_in)
-        s.coeffs *= level_powers(rho, f.n)
-        return inverse_transform(Spectrum(f.n, p_out, s.coeffs))
+        # scaled inside the fresh level table, so no second 2^n-entry
+        # temporary is live and the shared coefficients stay untouched
+        coeffs = level_powers(rho, f.n)
+        coeffs *= transform(f, p_in).coeffs
+        return inverse_transform(Spectrum(f.n, p_out, coeffs))
     if method == "definitional":
         return DenseFunction(f.n, apply_coordinatewise(f.values, f.n, [kernel] * f.n))
     raise ValueError(f"unknown method {method!r}")

@@ -152,7 +152,10 @@ def threshold_curve(f: DenseFunction, grid) -> ThresholdCurve:
     residuals at 0.0 or -5.6e-17, which the sign test alone would bisect.
     """
     n = f.n
-    layer_sums = np.bincount(popcounts(n), weights=f.values, minlength=n + 1)
+    # np.bincount would copy the read-only table; np.add.at adds in the same
+    # order, so the sums are bit-identical, and needs no copy
+    layer_sums = np.zeros(n + 1)
+    np.add.at(layer_sums, popcounts(n), f.values)
     monotone = is_monotone(f)
     mus = [_mu_from_layers(layer_sums, n, p) for p in grid]
     lo, hi = 1e-6, 1.0 - 1e-6

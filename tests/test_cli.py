@@ -310,6 +310,11 @@ class TestMalformed:
         self.assert_refused(["removal", "--family", "star", "--hypergraph", "i21",
                              "--n", "9", "--k", "0"], capsys, "a star needs k >= 1")
 
+    def test_tolerance_must_be_finite_and_non_negative(self, capsys):
+        for tol in ("-1", "nan", "inf"):
+            self.assert_refused(["verify", "--tol", tol], capsys,
+                                f"--tol must be a finite number >= 0, got {float(tol)}")
+
     def test_empty_lambda_lists(self, capsys):
         for option in ("--rho", "--mu", "--nu"):
             argv = ["lambda", "--rho", "0.5", "--mu", "0.5", "--nu", "0.5"]

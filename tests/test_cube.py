@@ -1,10 +1,13 @@
+import copy
+import gc
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biasedcube import cube
+from biasedcube import cube, noise
 from biasedcube.cube import BiasWeights, DenseFunction, Spectrum
 
 
@@ -343,9 +346,8 @@ class TestRestrictAverage:
 
     def test_result_owns_its_table(self):
         f = rand_fn(4)
-        before = f.values.copy()
-        cube.restrict(f, [4], {4: 0}).values[:] = -1.0  # a contiguous block of f
-        assert np.array_equal(f.values, before)
+        r = cube.restrict(f, [4], {4: 0})  # a contiguous block of f
+        assert not np.shares_memory(r.values, f.values)
 
     def test_and_restriction_zero(self):
         f = DenseFunction.from_predicate(2, lambda x: x == 3)
@@ -401,6 +403,17 @@ class TestInfluences:
                     for p in (0.1, 0.45, 0.83):
                         assert cube.influence(f, i, p) == cube.noisy_influence(f, i, 1.0, p)
 
+    def test_blocked_energy_matches_whole_table_products(self):
+        # stability and noisy_influence square the spectrum a block at a time
+        for n in (3, 14, 15, 17):
+            f = rand_fn(n)
+            for rho, p in ((0.0, 0.3), (0.55, 0.5), (1.0, 0.71)):
+                terms = cube.level_powers(rho, n) * cube.transform(f, p).coeffs ** 2
+                assert cube.stability(f, rho, p) == float(np.sum(terms))
+                for i in (1, n // 2 + 1, n):
+                    want = float(np.sum(terms.reshape(-1, 2, 1 << (i - 1))[:, 1, :]))
+                    assert cube.noisy_influence(f, i, rho, p) == want
+
     def test_dictator_stability(self):
         f = DenseFunction.dictator(1, 1)
         assert abs(cube.stability(f, 0.8, 0.5) - 0.45) < 1e-12
@@ -446,3 +459,99 @@ class TestSerialization:
         for cut in (blob[:10], blob[:-8]):
             with pytest.raises(ValueError):
                 DenseFunction.from_bytes(cut)
+
+
+class TestOwnershipAndMemo:
+    """Tables are read-only values, and transform remembers each function's
+    last spectrum only while someone else holds it."""
+
+    @staticmethod
+    def count_kernel_calls(monkeypatch) -> list:
+        calls = []
+        real = cube.apply_coordinatewise
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(cube, "apply_coordinatewise", counted)
+        return calls
+
+    def test_tables_are_read_only(self):
+        base = RNG.random(64)
+        f = DenseFunction(5, base[:32])  # a view: its base is frozen too
+        s = cube.transform(f, 0.3)
+        for table in (f.values, s.coeffs, base):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.5
+        values = RNG.random(16)
+        assert DenseFunction(4, values).values is values  # kept, not copied
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.5
+
+    def test_alternating_biases_match_fresh_spectra(self):
+        f = rand_fn(7)
+        held = []
+        for p in (0.3, 0.7, 0.3, 0.3):
+            held.append(cube.transform(f, p))
+            assert held[-1].p == p
+            assert np.array_equal(held[-1].coeffs, cube.part_spectra(f, (), p)[0])
+        assert held[3].coeffs is held[2].coeffs and held[2].coeffs is not held[0].coeffs
+
+    def test_reassigned_table_misses_the_memo(self):
+        f = rand_fn(5)
+        s = cube.transform(f, 0.4)
+        f.values = rand_fn(5).values
+        t = cube.transform(f, 0.4)
+        assert t.coeffs is not s.coeffs
+        assert np.array_equal(t.coeffs, cube.part_spectra(f, (), 0.4)[0])
+        writable = RNG.random(32)
+        f.values = writable  # not frozen, so never remembered
+        u = cube.transform(f, 0.4)
+        writable[3] += 1.0
+        v = cube.transform(f, 0.4)
+        assert v.coeffs is not u.coeffs
+        assert np.array_equal(v.coeffs, cube.part_spectra(f, (), 0.4)[0])
+
+    def test_memo_does_not_keep_coefficients_alive(self, monkeypatch):
+        f = rand_fn(6)
+        calls = self.count_kernel_calls(monkeypatch)
+        s = cube.transform(f, 0.35)
+        again = cube.transform(f, 0.35)
+        assert len(calls) == 1 and again.coeffs is s.coeffs
+        del s, again
+        gc.collect()
+        cube.transform(f, 0.35)
+        assert len(calls) == 2
+
+    def test_shared_spectrum_reads_run_two_kernels(self, monkeypatch):
+        f = rand_fn(9)
+        cp = noise.CouplingParams(0.25, 0.6)
+        fresh = DenseFunction(9, f.values.copy())  # no spectrum held: every read computes
+        want = (cube.transform(fresh, cp.q).coeffs,
+                noise.directed_up(fresh, cp, "spectral").values,
+                cube.stability(fresh, 0.7, cp.q),
+                cube.noisy_influence(fresh, 2, 0.7, cp.q),
+                cube.noisy_influence(fresh, 9, 0.7, cp.q))
+        calls = self.count_kernel_calls(monkeypatch)
+        s = cube.transform(f, cp.q)
+        got = (s.coeffs,
+               noise.directed_up(f, cp, "spectral").values,
+               cube.stability(f, 0.7, cp.q),
+               cube.noisy_influence(f, 2, 0.7, cp.q),
+               cube.noisy_influence(f, 9, 0.7, cp.q))
+        assert calls == [9, 9]  # the transform and directed_up's rebuild at p
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_transformed_function_pickles_and_copies(self):
+        f = DenseFunction(5, RNG.random(32), bounded=True)
+        s = cube.transform(f, 0.3)
+        for g in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+            assert g == f and (g.boolean, g.bounded) == (False, True)
+            with pytest.raises(ValueError, match="read-only"):
+                g.values[0] = 0.5
+            assert np.array_equal(cube.transform(g, 0.3).coeffs, s.coeffs)
+        t = pickle.loads(pickle.dumps(s))
+        assert t.p == s.p and np.array_equal(t.coeffs, s.coeffs)
+        with pytest.raises(ValueError, match="read-only"):
+            t.coeffs[0] = 0.5

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from biasedcube import matchings
+from biasedcube import gaussian, hypergraphs, matchings
 from biasedcube.cube import mask_of
 from biasedcube.families import SetFamily
 from biasedcube.hypergraphs import Hypergraph, sunflower_hypergraph
@@ -289,3 +289,20 @@ class TestBatchedDraws:
         out = matchings.expanded_event_equivalence(
             H, [SetFamily.star(66, 2), SetFamily.random(66, 2, 0.5, seed=57)], 500, seed=58)
         assert out["mismatches"] == 0
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    @pytest.mark.parametrize("estimate", [
+        lambda m: matchings.acceptance_rate(MatchingSpec(9, "conditioned", h=3, k=2), m, 1),
+        lambda m: matchings.cross_probability_mc(6, (2, 2), [SetFamily.full(6, 2)] * 2, m, 1),
+        lambda m: matchings.expanded_event_equivalence(
+            sunflower_hypergraph(2, 3), [SetFamily.full(9, 3)] * 2, m, 1),
+        lambda m: hypergraphs.almost_free_estimate(SetFamily.full(9, 3),
+                                                   sunflower_hypergraph(2, 3), m, 1),
+        lambda m: hypergraphs.trace_probability_order(sunflower_hypergraph(2, 3), [1],
+                                                      [1, 1], 9, m, 1),
+        lambda m: gaussian.lambda_mc(0.5, 0.3, 0.4, m, 1),
+    ], ids=["acceptance_rate", "cross_probability_mc", "expanded_event_equivalence",
+            "almost_free_estimate", "trace_probability_order", "lambda_mc"])
+    def test_estimators_need_a_sample(self, estimate, samples):
+        with pytest.raises(ValueError, match=f"at least one sample, got {samples}"):
+            estimate(samples)

@@ -38,8 +38,8 @@ def noise_operator_oracle(f, rho, p, method):
     them before the three operators shared one route core."""
     if method == "spectral":
         s = cube.transform(f, p)
-        s.coeffs *= cube.level_powers(rho, f.n)
-        return cube.inverse_transform(s)
+        coeffs = s.coeffs * cube.level_powers(rho, f.n)
+        return cube.inverse_transform(cube.Spectrum(f.n, p, coeffs))
     a0 = (1.0 - rho) * p
     a1 = rho + (1.0 - rho) * p
     kernel = (1.0 - a0, a0, 1.0 - a1, a1)
@@ -50,8 +50,8 @@ def directed_up_oracle(f, cp, method):
     """Oracle for directed_up, with its own copy of both routes."""
     if method == "spectral":
         s = cube.transform(f, cp.q)
-        s.coeffs *= cube.level_powers(cp.rho, f.n)
-        return cube.inverse_transform(cube.Spectrum(f.n, cp.p, s.coeffs))
+        coeffs = s.coeffs * cube.level_powers(cp.rho, f.n)
+        return cube.inverse_transform(cube.Spectrum(f.n, cp.p, coeffs))
     r = cp.q / cp.p
     kernel = (1.0, 0.0, 1.0 - r, r)
     return DenseFunction(f.n, cube.apply_coordinatewise(f.values, f.n, [kernel] * f.n))
@@ -61,8 +61,8 @@ def directed_down_oracle(g, cp, method):
     """Oracle for directed_down, with its own copy of both routes."""
     if method == "spectral":
         s = cube.transform(g, cp.p)
-        s.coeffs *= cube.level_powers(cp.rho, g.n)
-        return cube.inverse_transform(cube.Spectrum(g.n, cp.q, s.coeffs))
+        coeffs = s.coeffs * cube.level_powers(cp.rho, g.n)
+        return cube.inverse_transform(cube.Spectrum(g.n, cp.q, coeffs))
     r = (cp.p - cp.q) / (1.0 - cp.q)
     kernel = (1.0 - r, r, 0.0, 1.0)
     return DenseFunction(g.n, cube.apply_coordinatewise(g.values, g.n, [kernel] * g.n))
@@ -152,6 +152,11 @@ class TestCoupling:
             want = sample_many_int64(cp, 12, rng, 300)
             assert np.array_equal(x, want[0]) and np.array_equal(y, want[1])
         assert s.sample() == tuple(int(v[0]) for v in sample_many_int64(cp, 12, rng, 1))
+
+    def test_sampler_refuses_negative_counts(self):
+        sampler = noise.CoupledSampler(CouplingParams(0.2, 0.5), 6, seed=1)
+        with pytest.raises(ValueError, match="non-negative, got -3"):
+            sampler.sample_many(-3)
 
     @pytest.mark.parametrize("n", [-1, 0, 64, 70])
     def test_sampler_rejects_dimensions_outside_int64_masks(self, n):
@@ -301,8 +306,10 @@ class TestCrossTerm:
 
     def test_bounded_g_range_checked(self):
         cp = CouplingParams(0.2, 0.5)
-        g = DenseFunction(3, RNG.random(8), bounded=True)
-        g.values[5] = 1.5
+        values = RNG.random(8)
+        values[5] = 1.5
+        g = DenseFunction(3, values)
+        g.bounded = True  # set after construction, which checks the flag itself
         with pytest.raises(ValueError, match="g flagged bounded"):
             noise.cross_term(rand_fn(3), g, cp)
 

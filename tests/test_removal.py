@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from biasedcube import removal
-from biasedcube.cube import DenseFunction, expectation, mask_of, noisy_influence, restrict
+from biasedcube.cube import (DenseFunction, expectation, mask_of, noisy_influence, popcounts,
+                             restrict)
 from biasedcube.families import JuntaFamily, SetFamily, family_slice
 from biasedcube.hypergraphs import (
     k_expand,
@@ -341,6 +342,18 @@ class TestThresholdCurve:
                 x = np.arange(1 << n)
                 f = DenseFunction(n, 0.5 + (x & 1) - (x >> 1 & 1))
                 assert removal.threshold_curve(f, [0.3]).p_c is None
+
+
+    def test_layer_sums_match_bincount_exactly(self):
+        # the curve sums each layer in point order, as np.bincount does
+        rng = np.random.default_rng(31)
+        for n in (1, 4, 9, 13):
+            f = DenseFunction(n, rng.random(1 << n) * 10.0 ** rng.uniform(-6, 6, 1 << n))
+            layers = np.bincount(popcounts(n), weights=f.values, minlength=n + 1)
+            j = np.arange(n + 1)
+            grid = [0.05, 0.3, 0.5, 0.81]
+            want = [float(np.dot(layers, p ** j * (1.0 - p) ** (n - j))) for p in grid]
+            assert removal.threshold_curve(f, grid).mus == want
 
 
 class TestRobustFK:
