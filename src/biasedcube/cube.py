@@ -82,6 +82,9 @@ def coords_of(mask: int):
 # chunk of samples and decides all m samples with a few numpy passes
 
 _DRAW_CHUNK = 4096  # samples per draw, so memory stays O(_DRAW_CHUNK * n)
+# samples per block of the two long samplers (noise.CoupledSampler.sample_many,
+# gaussian.lambda_mc): a block's doubles and masks, about 0.5 MiB, stay in L2
+_SAMPLE_BLOCK = 1 << 15
 
 
 def _draw_chunks(samples: int, chunk: int = _DRAW_CHUNK) -> list:

@@ -22,7 +22,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .cube import Spectrum, _binomial_estimate, _draw_chunks, level_powers
+from .cube import _SAMPLE_BLOCK, Spectrum, _binomial_estimate, _draw_chunks, level_powers
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -107,16 +107,42 @@ def lambda_rho(rho: float, mu: float, nu: float, tol: float = 1e-10) -> float:
 
 
 def lambda_mc(rho: float, mu: float, nu: float, samples: int, seed: int) -> tuple[float, float]:
-    """Monte-Carlo Lambda with its standard error, chunked for memory."""
-    t_mu = phi_inv(mu) if 0.0 < mu < 1.0 else (math.inf if mu >= 1.0 else -math.inf)
-    t_nu = phi_inv(nu) if 0.0 < nu < 1.0 else (math.inf if nu >= 1.0 else -math.inf)
+    """Monte-Carlo Lambda with its standard error.
+
+    Each chunk of up to 10^6 samples draws its x, then its z, from one
+    default_rng(seed) stream, and y = rho x + s z with s = sqrt(1 - rho^2).
+    Both draws fill two reused buffers; y and the hits are formed in place,
+    cube._SAMPLE_BLOCK samples at a time, so the value is that of the
+    whole-chunk arithmetic bit for bit.  rho outside [-1, 1] and mu or nu
+    outside [0, 1] (NaN included) raise ValueError before any allocation.
+    """
+    if not -1.0 <= rho <= 1.0:
+        raise ValueError(f"rho must lie in [-1, 1], got {rho}")
+    for name, value in (("mu", mu), ("nu", nu)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    chunks = _draw_chunks(samples, 1_000_000)
+    t_mu = phi_inv(mu) if 0.0 < mu < 1.0 else (math.inf if mu == 1.0 else -math.inf)
+    t_nu = phi_inv(nu) if 0.0 < nu < 1.0 else (math.inf if nu == 1.0 else -math.inf)
     rng = np.random.default_rng(seed)
     s = math.sqrt(1.0 - rho * rho)
+    x_buf, z_buf = np.empty(chunks[0]), np.empty(chunks[0])
+    size = min(chunks[0], _SAMPLE_BLOCK)
+    rx_buf = np.empty(size)
+    below_buf, both_buf = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     hits = 0
-    for m in _draw_chunks(samples, 1_000_000):
-        x = rng.standard_normal(m)
-        y = rho * x + s * rng.standard_normal(m)
-        hits += int(np.count_nonzero((x < t_mu) & (y < t_nu)))
+    for m in chunks:
+        rng.standard_normal(out=x_buf[:m])
+        rng.standard_normal(out=z_buf[:m])
+        for lo in range(0, m, _SAMPLE_BLOCK):
+            hi = min(lo + _SAMPLE_BLOCK, m)
+            x, y = x_buf[lo:hi], z_buf[lo:hi]
+            rx, below, both = rx_buf[:hi - lo], below_buf[:hi - lo], both_buf[:hi - lo]
+            y *= s
+            y += np.multiply(x, rho, out=rx)  # s z + rho x is rho x + s z exactly
+            np.less(x, t_mu, out=both)
+            both &= np.less(y, t_nu, out=below)
+            hits += int(np.count_nonzero(both))
     return _binomial_estimate(hits, samples)
 
 

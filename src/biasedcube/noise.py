@@ -23,6 +23,7 @@ from .cube import (
     BiasWeights,
     DenseFunction,
     Spectrum,
+    _SAMPLE_BLOCK,
     _level_table,
     apply_coordinatewise,
     expectation,
@@ -61,7 +62,9 @@ class CoupledSampler:
             raise ValueError(f"coupled samples are int64 masks: n={n} outside [1, 63]")
         self.params = params
         self.n = n
-        self.rng = np.random.default_rng(seed)
+        # PCG64 explicitly (what default_rng(seed) builds), so that
+        # sample_many can jump a copy of the stream with PCG64.advance
+        self.rng = np.random.Generator(np.random.PCG64(seed))
 
     def sample(self) -> tuple[int, int]:
         x, y = self.sample_many(1)
@@ -70,25 +73,51 @@ class CoupledSampler:
     def sample_many(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized draws; returns int64 arrays of point bitmasks.
 
-        One rng.random(count) per coordinate, coordinate-major.  The masks
-        are built in place in the narrowest unsigned type that holds n bits.
+        Coordinate i of sample j reads uniform i*count + j of the stream
+        (one rng.random(count) per coordinate, coordinate-major), and the
+        next call reads on after all n*count of them.  The masks are built
+        in blocks of cube._SAMPLE_BLOCK samples, in the narrowest unsigned
+        type that holds n bits.  A call longer than one block reads
+        coordinate i from a copy of the generator advanced by i*count
+        (Generator.random takes one 64-bit draw per double), then advances
+        rng itself by n*count.
         """
         if count < 0:
             raise ValueError(f"sample count must be non-negative, got {count}")
         q, p = self.params.q, self.params.p
         width = np.min_scalar_type((1 << self.n) - 1)
-        x = np.zeros(count, dtype=width)
-        y = np.zeros(count, dtype=width)
-        u = np.empty(count)
-        bit = np.empty(count, dtype=bool)
-        shifted = np.empty(count, dtype=width)
-        for i in range(self.n):
-            self.rng.random(out=u)
-            for mask, bias in ((x, q), (y, p)):
-                np.less(u, bias, out=bit)
-                np.left_shift(bit, i, out=shifted, dtype=width)
-                mask |= shifted
-        return x.astype(np.int64), y.astype(np.int64)
+        if count <= _SAMPLE_BLOCK:
+            streams = [self.rng] * self.n
+        else:
+            state = self.rng.bit_generator.state
+            streams = []
+            for i in range(self.n):
+                bg = np.random.PCG64()
+                bg.state = state
+                streams.append(np.random.Generator(bg.advance(i * count)))
+            self.rng.bit_generator.advance(self.n * count)
+        x = np.empty(count, dtype=np.int64)
+        y = np.empty(count, dtype=np.int64)
+        size = min(count, _SAMPLE_BLOCK)
+        u_buf = np.empty(size)
+        bit_buf = np.empty(size, dtype=bool)
+        shift_buf, x_buf, y_buf = (np.empty(size, dtype=width) for _ in range(3))
+        for lo in range(0, count, _SAMPLE_BLOCK):
+            hi = min(lo + _SAMPLE_BLOCK, count)
+            u, bit, shifted = u_buf[:hi - lo], bit_buf[:hi - lo], shift_buf[:hi - lo]
+            bx, by = x_buf[:hi - lo], y_buf[:hi - lo]
+            for i, stream in enumerate(streams):
+                stream.random(out=u)
+                for mask, bias in ((bx, q), (by, p)):
+                    np.less(u, bias, out=bit)
+                    if i == 0:  # overwrites the previous block's masks
+                        np.copyto(mask, bit)
+                    else:
+                        np.left_shift(bit, i, out=shifted, dtype=width)
+                        mask |= shifted
+            x[lo:hi] = bx
+            y[lo:hi] = by
+        return x, y
 
 
 def _operator(f: DenseFunction, method: str, p_in: float, p_out: float, rho: float,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from biasedcube.cube import DenseFunction
 from biasedcube.gaussian import GaussianPoly, Phi, lambda_rho, phi, phi_inv
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+BLOCK = cube._SAMPLE_BLOCK
 
 
 def x_integral(rho, mu, nu, tol=1e-14):
@@ -30,6 +32,21 @@ def x_integral(rho, mu, nu, tol=1e-14):
         return adaptive(a, mid, 0.5 * tol, depth + 1) + adaptive(mid, b, 0.5 * tol, depth + 1)
 
     return adaptive(max(-39.0, h - 45.0), min(h, 39.0), tol, 0)
+
+
+def lambda_mc_loop(rho, mu, nu, samples, seed):
+    """Oracle for lambda_mc: the chunk loop it replaced, with fresh
+    whole-chunk temporaries for x, z and y."""
+    t_mu = phi_inv(mu) if 0.0 < mu < 1.0 else (math.inf if mu >= 1.0 else -math.inf)
+    t_nu = phi_inv(nu) if 0.0 < nu < 1.0 else (math.inf if nu >= 1.0 else -math.inf)
+    rng = np.random.default_rng(seed)
+    s = math.sqrt(1.0 - rho * rho)
+    hits = 0
+    for m in cube._draw_chunks(samples, 1_000_000):
+        x = rng.standard_normal(m)
+        y = rho * x + s * rng.standard_normal(m)
+        hits += int(np.count_nonzero((x < t_mu) & (y < t_nu)))
+    return cube._binomial_estimate(hits, samples)
 
 
 def tail_cells(seed, count):
@@ -188,6 +205,39 @@ class TestLambda:
             0.2776472, 0.0002832378734083138)
         assert gaussian.lambda_mc(0.6, 0.3, 0.7, 2_500_000, seed=17) == (
             0.2772604, 0.00028311628041625584)
+
+    @pytest.mark.parametrize("samples, seed, rho, mu, nu", [
+        (1, 3, 0.6, 0.3, 0.7),
+        (BLOCK - 1, 5, -0.4, 1.0, 0.35),
+        (BLOCK, 17, 0.9, 0.2, 0.0),
+        (BLOCK + 1, 3, 1.0, 0.45, 0.8),
+        (10**6, 5, 0.6, 0.3, 0.7),
+        (10**6 + 1, 17, -1.0, 0.5, 1.0),
+        (2 * 10**6 + 3 * BLOCK + 7, 3, 0.25, 0.6, 0.1),
+    ])
+    def test_mc_matches_chunk_loop(self, samples, seed, rho, mu, nu):
+        # the blocked, in-place arithmetic must give the loop's value exactly
+        got = gaussian.lambda_mc(rho, mu, nu, samples, seed)
+        assert got == lambda_mc_loop(rho, mu, nu, samples, seed)
+
+    @pytest.mark.parametrize("rho, mu, nu, name", [
+        (1.5, 0.3, 0.4, "rho"), (-1.01, 0.3, 0.4, "rho"), (math.nan, 0.3, 0.4, "rho"),
+        (0.5, 1.5, 0.4, "mu"), (0.5, -0.1, 0.4, "mu"), (0.5, math.nan, 0.4, "mu"),
+        (0.5, 0.3, math.inf, "nu"), (0.5, 0.3, math.nan, "nu"),
+    ])
+    def test_mc_argument_domain(self, rho, mu, nu, name):
+        with pytest.raises(ValueError, match=f"^{name} must lie in"):
+            gaussian.lambda_mc(rho, mu, nu, 1000, 1)
+
+    def test_mc_memory_is_two_chunk_buffers(self):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            gaussian.lambda_mc(0.6, 0.3, 0.7, 2_000_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16_000_000 + 2_000_000
 
 
 class TestGaussianPoly:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -10,6 +11,7 @@ from biasedcube.noise import CouplingParams
 
 
 RNG = np.random.default_rng(202)
+BLOCK = cube._SAMPLE_BLOCK
 
 
 def rand_fn(n):
@@ -132,8 +134,12 @@ class TestCoupling:
         b = noise.CoupledSampler(cp, 5, seed=3).sample_many(100)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
-    @pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 63])
-    @pytest.mark.parametrize("count", [0, 1, 4097])
+    @pytest.mark.parametrize("count, n", [
+        (count, n) for count in (0, 1, 4097) for n in (1, 8, 9, 16, 17, 63)
+    ] + [
+        # one block less, exactly one, one more, and three blocks and a bit
+        (count, n) for count in (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5) for n in (1, 12, 63)
+    ])
     def test_sampler_matches_int64_loop(self, n, count):
         cp = CouplingParams(0.15, 0.55)
         seed = 1000 * n + count
@@ -152,6 +158,36 @@ class TestCoupling:
             want = sample_many_int64(cp, 12, rng, 300)
             assert np.array_equal(x, want[0]) and np.array_equal(y, want[1])
         assert s.sample() == tuple(int(v[0]) for v in sample_many_int64(cp, 12, rng, 1))
+
+    def test_sampler_continues_the_stream_across_blocks(self):
+        cp = CouplingParams(0.3, 0.6)
+        s = noise.CoupledSampler(cp, 12, seed=9)
+        rng = np.random.default_rng(9)
+        for count in (40_000, 1, 70_001):
+            x, y = s.sample_many(count)
+            want = sample_many_int64(cp, 12, rng, count)
+            assert np.array_equal(x, want[0]) and np.array_equal(y, want[1])
+        assert s.sample() == tuple(int(v[0]) for v in sample_many_int64(cp, 12, rng, 1))
+
+    @pytest.mark.parametrize("count", [BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_sampler_leaves_the_generator_after_its_draws(self, count):
+        s = noise.CoupledSampler(CouplingParams(0.2, 0.5), 12, seed=4)
+        s.sample_many(count)
+        rng = np.random.default_rng(4)
+        rng.random(12 * count)
+        assert s.rng.bit_generator.state == rng.bit_generator.state
+
+    def test_sampler_memory_is_outputs_plus_a_block(self):
+        s = noise.CoupledSampler(CouplingParams(0.3, 0.6), 12, seed=1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            x, y = s.sample_many(500_000)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert x.nbytes + y.nbytes == 8_000_000
+        assert peak <= 8_000_000 + 2_000_000
 
     def test_sampler_refuses_negative_counts(self):
         sampler = noise.CoupledSampler(CouplingParams(0.2, 0.5), 6, seed=1)
