@@ -92,8 +92,8 @@ def lambda_rho(rho: float, mu: float, nu: float, tol: float = 1e-10) -> float:
         raise ValueError("rho must lie in [0,1)")
     if not (0.0 <= mu <= 1.0 and 0.0 <= nu <= 1.0):
         raise ValueError("mu, nu must lie in [0,1]")
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):  # a NaN never accepts a panel
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     if mu == 0.0 or nu == 0.0:
         return 0.0
     if mu == 1.0:

@@ -19,13 +19,8 @@ from .cube import (DenseFunction, apply_coordinatewise, expectation, mask_of, pa
                    popcounts)
 from .noise import CouplingParams, _submasks, cross_term, is_regular, monotonicity_defect
 from .families import JuntaFamily, SetFamily, _slice_measures
-from .hypergraphs import (
-    Hypergraph,
-    WorkBoundExceeded,
-    almost_free_estimate,
-    almost_free_exact,
-    junta_is_Hs_free,
-)
+from .hypergraphs import (Hypergraph, WorkBoundExceeded, almost_free_estimate,
+                          almost_free_exact, junta_is_Hs_free)
 
 
 @dataclass
@@ -219,11 +214,21 @@ def greedy_family_junta(F: SetFamily, j_max: int = 4, reg_delta: float = 0.25,
     return JuntaFamily(F.n, F.k, tuple(J), G)
 
 
+def _almost_free(F: SetFamily, H: Hypergraph, samples: int, seed: int) -> tuple:
+    """(value, exact Fraction or None, stderr or None); estimated if the count refuses."""
+    try:
+        exact = almost_free_exact(F, H)
+    except WorkBoundExceeded:
+        est, se = almost_free_estimate(F, H, samples, seed)
+        return est, None, se
+    return float(exact), exact, None
+
+
 def removal_pipeline(F: SetFamily, H: Hypergraph, s: int, seed: int = 0,
                      samples: int = 20_000) -> dict:
     """Four-stage removal experiment, returning a stage-keyed report.
 
-    (a) almost-H-freeness of F (exact when affordable, else MC);
+    (a) almost-H-freeness of F, exact unless the count refuses, else MC;
     (b) greedy junta approximation with the escaping mass mu(F minus <G>);
     (c) exact (H, s)-freeness of the junta, from Venn-cell placements of J;
     (d) converse decay: almost-freeness of the junta along the n-ladder
@@ -234,13 +239,9 @@ def removal_pipeline(F: SetFamily, H: Hypergraph, s: int, seed: int = 0,
     report: dict = {"inputs_hash": _inputs_hash(F, H, s), "seed": seed}
 
     # (a)
-    try:
-        exact = almost_free_exact(F, H)
-        report["almost_free"] = {"exact": f"{exact.numerator}/{exact.denominator}",
-                                 "value": float(exact)}
-    except WorkBoundExceeded:
-        est, se = almost_free_estimate(F, H, samples, seed)
-        report["almost_free"] = {"value": est, "stderr": se}
+    value, exact, se = _almost_free(F, H, samples, seed)
+    report["almost_free"] = ({"value": value, "stderr": se} if exact is None else
+                             {"exact": f"{exact.numerator}/{exact.denominator}", "value": value})
 
     # (b)
     jf = greedy_family_junta(F)
@@ -255,13 +256,11 @@ def removal_pipeline(F: SetFamily, H: Hypergraph, s: int, seed: int = 0,
     decay = []
     for n2 in (F.n, F.n + 2, F.n + 4):
         jf2 = JuntaFamily(n2, F.k, jf.J, jf.G)
-        gen2 = jf2.generated()
-        try:
-            val = float(almost_free_exact(gen2, H))
-            decay.append({"n": n2, "value": val, "exact": True})
-        except WorkBoundExceeded:
-            est, se = almost_free_estimate(gen2, H, samples, seed + n2)
-            decay.append({"n": n2, "value": est, "exact": False, "stderr": se})
+        value, exact, se = _almost_free(jf2.generated(), H, samples, seed + n2)
+        rung = {"n": n2, "value": value, "exact": exact is not None}
+        if exact is None:
+            rung["stderr"] = se
+        decay.append(rung)
     ok = True
     for a, b in zip(decay, decay[1:]):
         if a["value"] <= 0.0:

@@ -199,6 +199,14 @@ class TestLambda:
         with pytest.raises(ValueError):
             lambda_rho(0.5, 1.5, 0.5)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_tolerance_finite_and_positive(self, tol):
+        # a NaN or infinite tol never accepts a panel: the panel count would
+        # double for 40 rounds (MemoryError under a 1 GB address-space cap)
+        for mu, nu in ((0.3, 0.4), (1e-300, 1e-300)):
+            with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+                lambda_rho(0.5, mu, nu, tol=tol)
+
     def test_mc_stream_pinned(self):
         # values of the hand-rolled chunk loop this replaced, chunk 10^6
         assert gaussian.lambda_mc(0.6, 0.3, 0.7, 2_500_000, seed=5) == (

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -245,17 +246,27 @@ class TestCounting:
         est, se = hg.almost_free_estimate(F, H, samples=30_000, seed=5)
         assert abs(est - exact) < 4 * se + 1e-9
 
-    def test_work_bound_refusals(self):
+    def test_work_bound_refusals(self, monkeypatch):
         # sunflower(3, 3) on 7 points: (n)_v = 7! = 5040, |F|**h = 35**3 = 42875
         F = SetFamily.full(7, 3)
         H = sunflower_hypergraph(3, 3)
         jf = JuntaFamily(7, 3, (1,), frozenset({1}))
-        for call in (lambda: hg.almost_free_exact(F, H, work_bound=1000),
-                     lambda: hg.almost_free_exact(F, H, work_bound=10 ** 4),
-                     lambda: hg.junta_is_Hs_free_exhaustive(jf, H, 1, work_bound=10)):
+        for bound, call in ((1000, lambda: hg.almost_free_exact(F, H)),
+                            (10 ** 4, lambda: hg.almost_free_exact(F, H)),
+                            (10, lambda: hg.junta_is_Hs_free_exhaustive(jf, H, 1))):
+            monkeypatch.setattr(hg, "_EXACT_LEAVES", bound)
             with pytest.raises(hg.WorkBoundExceeded, match="work bound exceeded"):
                 call()
         assert issubclass(hg.WorkBoundExceeded, ValueError)
+
+    def test_refusal_is_instant(self):
+        # 7315**2 = 5.4e7 unpruned leaves, about 3 s of search: refused before any
+        F = SetFamily.full(22, 4)
+        H = matching_hypergraph(2, 4)
+        start = time.perf_counter()
+        with pytest.raises(hg.WorkBoundExceeded):
+            hg.almost_free_exact(F, H)
+        assert time.perf_counter() - start < 0.05
 
     def test_many_injections_few_members(self):
         # (45)_5 = 146,611,080 injections exceed the default bound, but the

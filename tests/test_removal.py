@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from biasedcube import removal
+from biasedcube import hypergraphs, removal
 from biasedcube.cube import (DenseFunction, expectation, mask_of, noisy_influence, popcounts,
                              restrict)
 from biasedcube.families import JuntaFamily, SetFamily, family_slice
@@ -437,6 +437,22 @@ class TestPipeline:
         a = removal.removal_pipeline(F, H, s=0, seed=3, samples=2_000)
         b = removal.removal_pipeline(F, H, s=0, seed=3, samples=2_000)
         assert a == b
+
+    def test_refused_counts_fall_back_to_seeded_estimates(self, monkeypatch):
+        # with every exact count refused, stage (a) and each ladder rung
+        # report the estimate at its own seed: seed for (a), seed + n2 for (d)
+        monkeypatch.setattr(hypergraphs, "_EXACT_LEAVES", 0)
+        F, H, seed, samples = SetFamily.star(9, 3), sunflower_hypergraph(2, 3), 5, 3_000
+        rep = removal.removal_pipeline(F, H, s=1, seed=seed, samples=samples)
+        est, se = hypergraphs.almost_free_estimate(F, H, samples, seed)
+        assert rep["almost_free"] == {"value": est, "stderr": se}
+        J, G = tuple(rep["junta"]["J"]), frozenset(rep["junta"]["G"])
+        ladder = rep["converse_decay"]["ladder"]
+        assert [rung["n"] for rung in ladder] == [9, 11, 13]
+        for rung in ladder:
+            gen = JuntaFamily(rung["n"], 3, J, G).generated()
+            est, se = hypergraphs.almost_free_estimate(gen, H, samples, seed + rung["n"])
+            assert rung == {"n": rung["n"], "value": est, "exact": False, "stderr": se}
 
     def test_malformed_instance_raises_without_fallback(self, monkeypatch):
         # edges of size 2 against a 3-uniform family: an input error, not a
