@@ -95,9 +95,10 @@ def _draw_chunks(samples: int, chunk: int = _DRAW_CHUNK) -> list:
 
 
 def _binomial_estimate(hits: int, samples: int) -> tuple[float, float]:
-    """Hit fraction with its binomial standard error."""
+    """Hit fraction with its binomial standard error, no smaller than one hit's."""
     est = hits / samples
-    return est, math.sqrt(max(est * (1.0 - est), 1e-300) / samples)
+    e = min(max(est, 1.0 / samples), 1.0 - 1.0 / samples)
+    return est, math.sqrt(e * (1.0 - e) / samples)
 
 
 def _bit_weights(n: int) -> np.ndarray:
@@ -178,6 +179,12 @@ def level_powers(x: float, n: int) -> np.ndarray:
     return _level_table(x ** np.arange(n + 1), n)
 
 
+def _bias_levels(n: int, p: float) -> np.ndarray:
+    """The mu_p-weight p^j (1-p)^(n-j) of a point on level j, for j = 0..n."""
+    j = np.arange(n + 1)
+    return p ** j * (1.0 - p) ** (n - j)
+
+
 @dataclass(frozen=True)
 class BiasWeights:
     """The p-biased product measure as a dense weight table."""
@@ -186,8 +193,26 @@ class BiasWeights:
     p: float
 
     def table(self) -> np.ndarray:
-        j = np.arange(self.n + 1)
-        return _level_table(self.p ** j * (1.0 - self.p) ** (self.n - j), self.n)
+        return _level_table(_bias_levels(self.n, self.p), self.n)
+
+
+# points per tile of a dense pass or weighted sum: 2^16 doubles (512 KiB), so
+# a tile and two scratch buffers stay in a core's 2 MiB L2, and a longer table
+# gets no second 2^n-entry temporary: on a 2-vCPU KVM Xeon guest a fresh 8 MiB
+# array took 3.0-7.4 ms to fill (516 minor faults), one in reuse 0.5-1.0 ms.
+_TILE_BITS = 16
+
+
+def _level_tiles(levels: np.ndarray, n: int):
+    """(t, w) for the tiles of a length-2^n table, one tile if n <= _TILE_BITS:
+    t slices the tile's points and w[k] = levels[popcount(t.start + k)].
+
+    A weighted sum over the table is math.fsum of its tile sums.
+    """
+    bits = min(n, _TILE_BITS)
+    for high in range(1 << (n - bits)):
+        hp = high.bit_count()  # the tile's points share these high bits
+        yield slice(high << bits, (high + 1) << bits), _level_table(levels[hp:hp + bits + 1], bits)
 
 
 # coordinates per block in apply_coordinatewise: 16x16 matrices (4) were the
@@ -204,20 +229,38 @@ def apply_coordinatewise(values, n: int, kernels) -> np.ndarray:
     coordinates, so they commute; _BLOCK of them at a time are merged into
     one Kronecker-product matrix applied by a single matmul (Yates'
     algorithm in blocks).  Returns a new table; values is not modified.
+
+    The blocks within a tile run a tile at a time, between a tile buffer and
+    the result; the higher blocks then run in place on the result, one
+    tile-sized slab at a time.  Each entry meets the whole-table matmuls.
     """
     ks = np.asarray(kernels, dtype=np.float64).reshape(n, 2, 2)
-    c = np.asarray(values, dtype=np.float64)
-    for lo in range(0, n, _BLOCK):
+    c = np.asarray(values, dtype=np.float64).reshape(-1)
+    blocks = []
+    for lo in range(0, max(n, 1), _BLOCK):  # n = 0: one 1x1 block, a copy
         m = np.ones((1, 1))
         for k in ks[lo:lo + _BLOCK]:
             # kron(k, m): the later coordinate is the higher bit of the block
             w = 2 * len(m)
             m = (k[:, None, :, None] * m[None, :, None, :]).reshape(w, w)
-        if lo == 0:
-            c = c.reshape(-1, len(m)) @ m.T
-        else:
-            c = m @ c.reshape(-1, len(m), 1 << lo)
-    return c.reshape(-1)
+        blocks.append((lo, m))
+    tile = min(len(c), 1 << _TILE_BITS)
+    low = [(lo, m) for lo, m in blocks if len(m) << lo <= tile]
+    out, buf = np.empty_like(c), np.empty(tile)
+    for start in range(0, len(c), tile):
+        src = c[start:start + tile]
+        for j, (lo, m) in enumerate(low):
+            dst = out[start:start + tile] if (len(low) - j) % 2 else buf
+            shape = (-1, len(m)) if lo == 0 else (-1, len(m), 1 << lo)
+            a, b = (src.reshape(shape), m.T) if lo == 0 else (m, src.reshape(shape))
+            src = np.matmul(a, b, out=dst.reshape(shape))
+    for lo, m in blocks[len(low):]:
+        slab, res = buf.reshape(len(m), -1), np.empty((len(m), tile // len(m)))
+        v = out.reshape(-1, len(m), (1 << lo) // slab.shape[1], slab.shape[1])
+        for r, s in np.ndindex(v.shape[0], v.shape[2]):
+            np.copyto(slab, v[r, :, s])
+            v[r, :, s] = np.matmul(m, slab, out=res)
+    return out
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -427,15 +470,14 @@ def transform_direct(f: DenseFunction, p: float) -> Spectrum:
 
 
 def expectation(f: DenseFunction, p: float) -> float:
-    w = BiasWeights(f.n, p).table()
-    return float(np.dot(w, f.values))
+    return math.fsum(np.dot(w, f.values[t]) for t, w in _level_tiles(_bias_levels(f.n, p), f.n))
 
 
 def inner_product(f: DenseFunction, g: DenseFunction, p: float) -> float:
     if f.n != g.n:
         raise ValueError("dimension mismatch")
-    w = BiasWeights(f.n, p).table()
-    return float(np.dot(w, f.values * g.values))
+    return math.fsum(np.dot(w, f.values[t] * g.values[t])
+                     for t, w in _level_tiles(_bias_levels(f.n, p), f.n))
 
 
 def restrict(f: DenseFunction, J, a) -> DenseFunction:
@@ -527,34 +569,25 @@ def influence_definitional(f: DenseFunction, i: int, p: float) -> float:
     return inner_product(d, d, p)
 
 
-# coefficients squared per block in _damped_energy: small enough that no
-# second 2^n-entry temporary is live, which at n = 20 saved ~6 ms a call (8 MiB
-# temporaries were page-faulted afresh each call) on a 2-vCPU Xeon
-_SQUARE_BLOCK = 1 << 14
-
-
-def _damped_energy(f: DenseFunction, rho: float, p: float) -> np.ndarray:
-    """rho^|S| fhat(S)^2 for every S: level_powers(rho, n) * fhat ** 2,
-    multiplied into the level table one block of squares at a time."""
-    terms = level_powers(rho, f.n)
-    coeffs = transform(f, p).coeffs
-    for lo in range(0, len(terms), _SQUARE_BLOCK):
-        terms[lo:lo + _SQUARE_BLOCK] *= coeffs[lo:lo + _SQUARE_BLOCK] ** 2
-    return terms
-
-
 def noisy_influence(f: DenseFunction, i: int, rho: float, p: float) -> float:
     """Influence with each level-|S| term damped by rho^|S|."""
     if not 1 <= i <= f.n:
         raise ValueError("coordinate out of range")
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho outside [0,1]")
-    terms = _damped_energy(f, rho, p)
-    return float(np.sum(terms.reshape(-1, 2, 1 << (i - 1))[:, 1, :]))
+    coeffs, half, sums = transform(f, p).coeffs, 1 << (i - 1), []
+    for t, w in _level_tiles(rho ** np.arange(f.n + 1), f.n):
+        # a tile of at most half points lies wholly inside or outside the S containing i
+        if len(w) > half or t.start & half:
+            terms = np.multiply(w, coeffs[t] ** 2, out=w)
+            sums.append(np.sum(terms.reshape(-1, 2, half)[:, 1, :] if len(w) > half else terms))
+    return math.fsum(sums)
 
 
 def stability(f: DenseFunction, rho: float, p: float) -> float:
     """Stab_rho = sum_S rho^|S| fhat(S)^2."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho outside [0,1]")
-    return float(np.sum(_damped_energy(f, rho, p)))
+    coeffs = transform(f, p).coeffs
+    return math.fsum(np.sum(np.multiply(w, coeffs[t] ** 2, out=w))
+                     for t, w in _level_tiles(rho ** np.arange(f.n + 1), f.n))

@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cube import (DenseFunction, _bit_weights, _json_object, _level_table,
+from .cube import (DenseFunction, _bit_weights, _json_object, _level_tiles,
                    apply_coordinatewise, coords_of, expectation, mask_of, popcounts,
                    trace_sums)
 from .noise import CouplingParams, cross_term
@@ -170,11 +170,13 @@ def lift(F: SetFamily) -> DenseFunction:
     below level k they are zero, since every member is a k-set.
     """
     n, k = F.n, F.k
-    g = np.zeros(1 << n)
-    g[list(F.members)] = 1.0
-    counts = apply_coordinatewise(g, n, [(1.0, 0.0, 1.0, 1.0)] * n)
+    counts = np.zeros(1 << n)
+    counts[list(F.members)] = 1.0
+    counts = apply_coordinatewise(counts, n, [(1.0, 0.0, 1.0, 1.0)] * n)
     denom = np.array([max(math.comb(c, k), 1) for c in range(n + 1)], dtype=np.float64)
-    return DenseFunction(n, counts / _level_table(denom, n), bounded=True)
+    for tile, w in _level_tiles(denom, n):
+        counts[tile] /= w
+    return DenseFunction(n, counts, bounded=True)
 
 
 def lift_direct(F: SetFamily) -> DenseFunction:

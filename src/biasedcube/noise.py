@@ -24,7 +24,9 @@ from .cube import (
     DenseFunction,
     Spectrum,
     _SAMPLE_BLOCK,
+    _bias_levels,
     _level_table,
+    _level_tiles,
     apply_coordinatewise,
     expectation,
     inner_product,
@@ -180,8 +182,9 @@ def cross_term(f: DenseFunction, g: DenseFunction, cp: CouplingParams) -> float:
     for name, h in (("f", f), ("g", g)):
         if h.bounded and (np.any(h.values < 0) or np.any(h.values > 1)):
             raise ValueError(f"{name} flagged bounded but leaves [0,1]")
-    one_minus_g = DenseFunction(g.n, 1.0 - g.values)
-    return inner_product(directed_up(f, cp, method="definitional"), one_minus_g, cp.p)
+    up = directed_up(f, cp, method="definitional").values
+    return math.fsum(np.dot(w, up[t] * (1.0 - g.values[t]))
+                     for t, w in _level_tiles(_bias_levels(f.n, cp.p), f.n))
 
 
 def cross_term_via_down(f: DenseFunction, g: DenseFunction, cp: CouplingParams) -> float:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import (DenseFunction, apply_coordinatewise, expectation, mask_of, part_spectra,
-                   popcounts)
+from .cube import (DenseFunction, _bias_levels, _level_tiles, apply_coordinatewise,
+                   expectation, mask_of, part_spectra, popcounts)
 from .noise import CouplingParams, _submasks, cross_term, is_regular, monotonicity_defect
 from .families import JuntaFamily, SetFamily, _slice_measures
 from .hypergraphs import (Hypergraph, WorkBoundExceeded, almost_free_estimate,
@@ -107,8 +107,10 @@ def monotone_junta_approx(f: DenseFunction, cp: CouplingParams,
     if not is_monotone(g):
         raise AssertionError("up-closure failed to be monotone")
 
-    err_q = expectation(DenseFunction(f.n, f.values * (1.0 - g.values)), cp.q)
-    err_p = expectation(DenseFunction(f.n, (1.0 - f.values) * g.values), cp.p)
+    err_q = math.fsum(np.dot(w, f.values[t] * (1.0 - g.values[t]))
+                      for t, w in _level_tiles(_bias_levels(f.n, cp.q), f.n))
+    err_p = math.fsum(np.dot(w, (1.0 - f.values[t]) * g.values[t])
+                      for t, w in _level_tiles(_bias_levels(f.n, cp.p), f.n))
     report = {"J": list(J), "defect": defect, "decomposition_failed": dec.failed,
               "bad_mass": dec.bad_mass, "err_q": err_q, "err_p": err_p}
     return g, err_q, err_p, report

@@ -404,15 +404,23 @@ class TestInfluences:
                         assert cube.influence(f, i, p) == cube.noisy_influence(f, i, 1.0, p)
 
     def test_blocked_energy_matches_whole_table_products(self):
-        # stability and noisy_influence square the spectrum a block at a time
-        for n in (3, 14, 15, 17):
-            f = rand_fn(n)
+        # up to n = 16 the table is one tile: the whole-table products and sums,
+        # bit for bit; at n = 17 two tile sums add up to the exact sum of the terms
+        fs = {n: rand_fn(n) for n in (3, 14, 15, 17)}
+        fs[16] = cube.restrict(fs[17], [17], 0)
+        for n, f in sorted(fs.items()):
             for rho, p in ((0.0, 0.3), (0.55, 0.5), (1.0, 0.71)):
                 terms = cube.level_powers(rho, n) * cube.transform(f, p).coeffs ** 2
-                assert cube.stability(f, rho, p) == float(np.sum(terms))
+                parts = [(cube.stability(f, rho, p), terms)]
                 for i in (1, n // 2 + 1, n):
-                    want = float(np.sum(terms.reshape(-1, 2, 1 << (i - 1))[:, 1, :]))
-                    assert cube.noisy_influence(f, i, rho, p) == want
+                    parts.append((cube.noisy_influence(f, i, rho, p),
+                                  terms.reshape(-1, 2, 1 << (i - 1))[:, 1, :]))
+                for got, whole in parts:
+                    if n <= 16:
+                        assert got == float(np.sum(whole))
+                    else:
+                        exact = math.fsum(whole.ravel().tolist())
+                        assert abs(got - exact) <= 1e-14 * exact
 
     def test_dictator_stability(self):
         f = DenseFunction.dictator(1, 1)
@@ -555,3 +563,17 @@ class TestOwnershipAndMemo:
         assert t.p == s.p and np.array_equal(t.coeffs, s.coeffs)
         with pytest.raises(ValueError, match="read-only"):
             t.coeffs[0] = 0.5
+
+
+
+
+class TestBinomialEstimate:
+    def test_no_hit_or_no_miss_reports_the_one_hit_error(self):
+        # all hits (or all misses) bound the fraction only to about 1/samples;
+        # interior estimates keep their plain binomial error
+        s = 20000
+        for hits, samples, e in ((0, s, 1.0 / s), (s, s, 1.0 - 1.0 / s), (1, s, 1.0 / s),
+                                 (7, 10, 0.7), (12345, s, 12345 / s)):
+            assert cube._binomial_estimate(hits, samples) == (
+                hits / samples, math.sqrt(e * (1.0 - e) / samples))
+        assert 4.9e-5 < cube._binomial_estimate(0, s)[1] < 5.1e-5
