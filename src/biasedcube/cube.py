@@ -220,7 +220,7 @@ def _level_tiles(levels: np.ndarray, n: int):
 _BLOCK = 4
 
 
-def apply_coordinatewise(values, n: int, kernels) -> np.ndarray:
+def apply_coordinatewise(values, n: int, kernels, levels=None) -> np.ndarray:
     """Apply a 2x2 kernel on every coordinate of a length-2^n table, or of
     each length-2^n block of a longer table.
 
@@ -233,6 +233,9 @@ def apply_coordinatewise(values, n: int, kernels) -> np.ndarray:
     The blocks within a tile run a tile at a time, between a tile buffer and
     the result; the higher blocks then run in place on the result, one
     tile-sized slab at a time.  Each entry meets the whole-table matmuls.
+    Given levels (for one length-2^n table), entry x is first multiplied by
+    levels[popcount(x)] inside its tile's weights: the result is that of
+    levels[popcount(x)] * values[x], with no scaled table made.
     """
     ks = np.asarray(kernels, dtype=np.float64).reshape(n, 2, 2)
     c = np.asarray(values, dtype=np.float64).reshape(-1)
@@ -247,8 +250,12 @@ def apply_coordinatewise(values, n: int, kernels) -> np.ndarray:
     tile = min(len(c), 1 << _TILE_BITS)
     low = [(lo, m) for lo, m in blocks if len(m) << lo <= tile]
     out, buf = np.empty_like(c), np.empty(tile)
+    weights = None if levels is None else _level_tiles(levels, n)
     for start in range(0, len(c), tile):
         src = c[start:start + tile]
+        if weights is not None:
+            _, w = next(weights)
+            src = np.multiply(src, w, out=w)
         for j, (lo, m) in enumerate(low):
             dst = out[start:start + tile] if (len(low) - j) % 2 else buf
             shape = (-1, len(m)) if lo == 0 else (-1, len(m), 1 << lo)
@@ -278,11 +285,11 @@ class DenseFunction:
     The function owns its table and never changes it.  A float64 array
     passed in is kept, not copied, and becomes read-only together with any
     array it is a view of; a later write into it raises ValueError.  Each
-    function also remembers its last spectrum, as long as someone else
-    holds it (see transform).
+    function also remembers its images under per-coordinate kernels, as
+    long as someone else holds them (see _kernel_image).
     """
 
-    __slots__ = ("n", "values", "boolean", "bounded", "_spectrum")
+    __slots__ = ("n", "values", "boolean", "bounded", "_images")
 
     def __init__(self, n: int, values, boolean: bool = False, bounded: bool = False):
         _check_n(n)
@@ -297,16 +304,16 @@ class DenseFunction:
         self.values = _frozen(v)
         self.boolean = bool(boolean)
         self.bounded = bool(bounded or boolean)
-        self._spectrum = None
+        self._images = None
 
-    # pickles and copies drop the remembered spectrum: a weakref cannot be pickled
+    # pickles and copies drop the remembered images: a weakref cannot be pickled
     def __getstate__(self):
         return self.n, self.values, self.boolean, self.bounded
 
     def __setstate__(self, state):
         self.n, values, self.boolean, self.bounded = state
         self.values = _frozen(values)
-        self._spectrum = None
+        self._images = None
 
     def __call__(self, x: int) -> float:
         return float(self.values[x])
@@ -413,8 +420,7 @@ def part_spectra(f: DenseFunction, J, p: float) -> np.ndarray:
 
     Row b fixes the idx-th smallest coordinate of J to bit idx of b; its
     columns are subsets of the other coordinates, compacted as in restrict.
-    Each row gets one basis change per coordinate: a = (1-p) f0 + p f1 is
-    the mean part and b = sqrt(p(1-p)) (f0 - f1) the character part.
+    Each row gets one basis change per coordinate, _transform_kernel(p).
     """
     _check_bias(p)
     Jset = sorted(set(J))
@@ -426,38 +432,62 @@ def part_spectra(f: DenseFunction, J, p: float) -> np.ndarray:
     table = f.values.reshape((2,) * f.n).transpose(axes).reshape(1 << len(Jset), -1)
     if not rest:
         return table.copy()  # a function of no coordinates is its own spectrum
-    r = math.sqrt(p * (1.0 - p))
-    return apply_coordinatewise(table, len(rest), [(1.0 - p, p, r, -r)] * len(rest)).reshape(
+    return apply_coordinatewise(table, len(rest), [_transform_kernel(p)] * len(rest)).reshape(
         table.shape)
+
+
+def _transform_kernel(p: float) -> tuple:
+    # a = (1-p) f0 + p f1 is the mean part, b = sqrt(p(1-p)) (f0 - f1) the character part
+    r = math.sqrt(p * (1.0 - p))
+    return (1.0 - p, p, r, -r)
+
+
+def _kernel_image(f: DenseFunction, kernel: tuple) -> np.ndarray:
+    """Read-only apply_coordinatewise(f.values, f.n, [kernel] * f.n).
+
+    f remembers a weak reference to its table and, per kernel (keyed by
+    its float64 bytes), to the image.  While the table is still f.values
+    and the image is still held elsewhere (by a Spectrum or a
+    DenseFunction, say), the call returns that image instead of running
+    the kernel pass again.  The memo keeps neither images nor tables alive
+    by itself, and a reassigned or writable f.values misses it.
+    """
+    key = np.asarray(kernel, dtype=np.float64).tobytes()
+    memo = f._images
+    if memo is not None and memo[0]() is f.values:
+        image = memo[1].get(key)
+        if image is not None:
+            return image
+    image = _frozen(apply_coordinatewise(f.values, f.n, [kernel] * f.n))
+    if not f.values.flags.writeable:  # a writable table may change under the memo
+        if memo is None or memo[0]() is not f.values:
+            memo = f._images = (weakref.ref(f.values), weakref.WeakValueDictionary())
+        memo[1][key] = image
+    return image
 
 
 def transform(f: DenseFunction, p: float) -> Spectrum:
     """p-biased Fourier transform: the single row of part_spectra(f, (), p).
 
-    f remembers its table, p and a weak reference to the coefficients of
-    its last transform.  While the table is still f.values, p is the same
-    and the coefficients are still held elsewhere (by an earlier Spectrum,
-    say), the call wraps them in a new Spectrum instead of computing them
-    again.  The memo never keeps coefficients alive by itself, and a
-    reassigned f.values misses it.
+    The coefficients are f's image under the transform kernel, so the
+    coefficients of an earlier transform at p, while still held elsewhere,
+    are reused (see _kernel_image).
     """
-    memo = f._spectrum
-    if memo is not None and memo[0] is f.values and memo[1] == p:
-        coeffs = memo[2]()
-        if coeffs is not None:
-            return Spectrum(f.n, p, coeffs)
-    s = Spectrum(f.n, p, part_spectra(f, (), p)[0])
-    if not f.values.flags.writeable:  # a reassigned writable table may change
-        f._spectrum = (f.values, p, weakref.ref(s.coeffs))
-    return s
+    _check_bias(p)
+    return Spectrum(f.n, p, _kernel_image(f, _transform_kernel(p)))
 
 
 def inverse_transform(s: Spectrum) -> DenseFunction:
     """Rebuild the point table from coefficients: f = sum_S fhat(S) chi_S^p."""
-    p = s.p
-    lo = math.sqrt(p / (1.0 - p))
-    hi = math.sqrt((1.0 - p) / p)
-    return DenseFunction(s.n, apply_coordinatewise(s.coeffs, s.n, [(1.0, lo, 1.0, -hi)] * s.n))
+    return _rebuild(s.coeffs, s.n, s.p)
+
+
+def _rebuild(coeffs: np.ndarray, n: int, p: float, levels=None) -> DenseFunction:
+    """sum_S levels[|S|] coeffs[S] chi_S^p, or inverse_transform without levels;
+    the levels scale each tile inside the kernel pass (see apply_coordinatewise)."""
+    # f0 = a + sqrt(p/(1-p)) b and f1 = a - sqrt((1-p)/p) b undo _transform_kernel
+    kernel = (1.0, math.sqrt(p / (1.0 - p)), 1.0, -math.sqrt((1.0 - p) / p))
+    return DenseFunction(n, apply_coordinatewise(coeffs, n, [kernel] * n, levels))
 
 
 def transform_direct(f: DenseFunction, p: float) -> Spectrum:
@@ -576,10 +606,11 @@ def noisy_influence(f: DenseFunction, i: int, rho: float, p: float) -> float:
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho outside [0,1]")
     coeffs, half, sums = transform(f, p).coeffs, 1 << (i - 1), []
+    squares = _square_buffer(f.n)
     for t, w in _level_tiles(rho ** np.arange(f.n + 1), f.n):
         # a tile of at most half points lies wholly inside or outside the S containing i
         if len(w) > half or t.start & half:
-            terms = np.multiply(w, coeffs[t] ** 2, out=w)
+            terms = _damp_squares(w, coeffs[t], squares)
             sums.append(np.sum(terms.reshape(-1, 2, half)[:, 1, :] if len(w) > half else terms))
     return math.fsum(sums)
 
@@ -588,6 +619,23 @@ def stability(f: DenseFunction, rho: float, p: float) -> float:
     """Stab_rho = sum_S rho^|S| fhat(S)^2."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho outside [0,1]")
-    coeffs = transform(f, p).coeffs
-    return math.fsum(np.sum(np.multiply(w, coeffs[t] ** 2, out=w))
+    coeffs, squares = transform(f, p).coeffs, _square_buffer(f.n)
+    return math.fsum(np.sum(_damp_squares(w, coeffs[t], squares))
                      for t, w in _level_tiles(rho ** np.arange(f.n + 1), f.n))
+
+
+# coefficients squared at a time by _damp_squares: 2^14 doubles (128 KiB), so a
+# tile's weights get no second tile-sized temporary beside them
+_SQUARE_BITS = 14
+
+
+def _square_buffer(n: int) -> np.ndarray:
+    return np.empty(1 << min(n, _TILE_BITS, _SQUARE_BITS))
+
+
+def _damp_squares(w: np.ndarray, c: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """w * c ** 2 written into w, squaring len(squares) entries at a time
+    (len(w) is a multiple of len(squares): both are powers of two)."""
+    for wr, cr in zip(w.reshape(-1, len(squares)), c.reshape(-1, len(squares))):
+        np.multiply(wr, np.square(cr, out=squares), out=wr)
+    return w

@@ -22,16 +22,14 @@ import numpy as np
 from .cube import (
     BiasWeights,
     DenseFunction,
-    Spectrum,
     _SAMPLE_BLOCK,
     _bias_levels,
+    _kernel_image,
     _level_table,
     _level_tiles,
-    apply_coordinatewise,
+    _rebuild,
     expectation,
     inner_product,
-    inverse_transform,
-    level_powers,
     trace_sums,
     transform,
 )
@@ -130,13 +128,11 @@ def _operator(f: DenseFunction, method: str, p_in: float, p_out: float, rho: flo
     at p_out; "definitional" applies the 2x2 kernel on every coordinate.
     """
     if method == "spectral":
-        # scaled inside the fresh level table, so no second 2^n-entry
-        # temporary is live and the shared coefficients stay untouched
-        coeffs = level_powers(rho, f.n)
-        coeffs *= transform(f, p_in).coeffs
-        return inverse_transform(Spectrum(f.n, p_out, coeffs))
+        # rho^|S| scales each tile inside the rebuild's kernel pass, so the
+        # shared coefficients stay untouched and no scaled table is made
+        return _rebuild(transform(f, p_in).coeffs, f.n, p_out, rho ** np.arange(f.n + 1))
     if method == "definitional":
-        return DenseFunction(f.n, apply_coordinatewise(f.values, f.n, [kernel] * f.n))
+        return DenseFunction(f.n, _kernel_image(f, kernel))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -179,9 +175,12 @@ def cross_term(f: DenseFunction, g: DenseFunction, cp: CouplingParams) -> float:
     """E over D(q,p) of f(x) (1 - g(y)), with f read at q and g at p."""
     if f.n != g.n:
         raise ValueError("dimension mismatch")
+    checked = None  # monotonicity_defect passes g is f: one check a table
     for name, h in (("f", f), ("g", g)):
-        if h.bounded and (np.any(h.values < 0) or np.any(h.values > 1)):
-            raise ValueError(f"{name} flagged bounded but leaves [0,1]")
+        if h.bounded and h.values is not checked:
+            if np.any(h.values < 0) or np.any(h.values > 1):
+                raise ValueError(f"{name} flagged bounded but leaves [0,1]")
+            checked = h.values
     up = directed_up(f, cp, method="definitional").values
     return math.fsum(np.dot(w, up[t] * (1.0 - g.values[t]))
                      for t, w in _level_tiles(_bias_levels(f.n, cp.p), f.n))

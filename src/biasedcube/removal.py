@@ -116,12 +116,31 @@ def monotone_junta_approx(f: DenseFunction, cp: CouplingParams,
     return g, err_q, err_p, report
 
 
+# the bits of a 64-bit word whose position has bit i clear, for i < 6
+_LOW_HALVES = np.array([0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+                        0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF],
+                       dtype=np.uint64)
+
+
 def is_monotone(f: DenseFunction) -> bool:
-    # a Boolean table is compared one byte per point instead of eight
-    values = f.values.astype(bool) if f.boolean else f.values
+    """f(x) <= f(x + e_i) for every point x and coordinate i outside x."""
+    if not f.boolean:
+        for i in range(f.n):
+            v = f.values.reshape(-1, 2, 1 << i)
+            if np.any(v[:, 0, :] > v[:, 1, :]):
+                return False
+        return True
+    # a Boolean table as bits, 64 points a word: point 64 w + k is bit k of
+    # word w, and zeros pad a table of fewer points to one word
+    bits = np.packbits(f.values.astype(bool), bitorder="little")
+    words = np.pad(bits, (0, -len(bits) % 8)).view("<u8")
     for i in range(f.n):
-        v = values.reshape(-1, 2, 1 << i)
-        if np.any(v[:, 0, :] > v[:, 1, :]):
+        if i < 6:  # x and x + e_i share a word, 2^i bits apart
+            lo, hi = words & _LOW_HALVES[i], (words >> np.uint64(1 << i)) & _LOW_HALVES[i]
+        else:
+            v = words.reshape(-1, 2, 1 << (i - 6))
+            lo, hi = v[:, 0, :], v[:, 1, :]
+        if np.any(lo & ~hi):
             return False
     return True
 

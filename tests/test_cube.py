@@ -470,8 +470,9 @@ class TestSerialization:
 
 
 class TestOwnershipAndMemo:
-    """Tables are read-only values, and transform remembers each function's
-    last spectrum only while someone else holds it."""
+    """Tables are read-only values, and each function remembers its image
+    under each kernel (its spectrum at each bias, its definitional operator
+    images) only while someone else holds it."""
 
     @staticmethod
     def count_kernel_calls(monkeypatch) -> list:
@@ -504,7 +505,9 @@ class TestOwnershipAndMemo:
             held.append(cube.transform(f, p))
             assert held[-1].p == p
             assert np.array_equal(held[-1].coeffs, cube.part_spectra(f, (), p)[0])
-        assert held[3].coeffs is held[2].coeffs and held[2].coeffs is not held[0].coeffs
+        # one image per kernel: both held spectra at 0.3 are the first one
+        assert held[3].coeffs is held[0].coeffs and held[2].coeffs is held[0].coeffs
+        assert held[1].coeffs is not held[0].coeffs
 
     def test_reassigned_table_misses_the_memo(self):
         f = rand_fn(5)
@@ -551,6 +554,54 @@ class TestOwnershipAndMemo:
         assert calls == [9, 9]  # the transform and directed_up's rebuild at p
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
+    def test_held_definitional_image_serves_cross_term(self, monkeypatch):
+        f = DenseFunction(9, RNG.random(1 << 9), bounded=True)
+        g = DenseFunction(9, RNG.random(1 << 9), bounded=True)
+        cp = noise.CouplingParams(0.3, 0.55)
+        fresh = DenseFunction(9, f.values.copy(), bounded=True)
+        want = (noise.cross_term(fresh, fresh, cp), noise.cross_term(fresh, g, cp))
+        up = noise.directed_up(f, cp, "definitional")
+        calls = self.count_kernel_calls(monkeypatch)
+        assert (noise.cross_term(f, f, cp), noise.cross_term(f, g, cp)) == want
+        assert noise.directed_up(f, cp, "definitional").values is up.values
+        assert calls == []
+
+    def test_directed_down_and_noise_operator_hit_the_memo(self, monkeypatch):
+        f = rand_fn(8)
+        cp = noise.CouplingParams(0.2, 0.7)
+        down = noise.directed_down(f, cp, "definitional")
+        smooth = noise.noise_operator(f, 0.4, 0.35, "definitional")
+        calls = self.count_kernel_calls(monkeypatch)
+        assert noise.directed_down(f, cp, "definitional").values is down.values
+        assert noise.noise_operator(f, 0.4, 0.35, "definitional").values is smooth.values
+        assert calls == []
+
+    def test_other_kernels_tables_and_dropped_images_miss(self, monkeypatch):
+        f = rand_fn(7)
+        cp = noise.CouplingParams(0.25, 0.6)
+        up = noise.directed_up(f, cp, "definitional")
+        calls = self.count_kernel_calls(monkeypatch)
+        for other in (noise.CouplingParams(0.25, 0.65), noise.CouplingParams(0.3, 0.6)):
+            assert noise.directed_up(f, other, "definitional").values is not up.values
+        # the spectrum at q is another kernel's image of the same table
+        assert cube.transform(f, cp.q).coeffs is not up.values
+        assert calls == [7, 7, 7]
+        f.values = rand_fn(7).values
+        again = noise.directed_up(f, cp, "definitional").values
+        assert again is not up.values
+        writable = RNG.random(1 << 7)
+        f.values = writable  # not frozen, so never remembered
+        first = noise.directed_up(f, cp, "definitional").values
+        writable[5] += 1.0
+        second = noise.directed_up(f, cp, "definitional").values
+        assert first is not second and not np.array_equal(first, second)
+        assert len(calls) == 6
+        g = rand_fn(7)
+        noise.directed_up(g, cp, "definitional")  # the image is dropped at once
+        gc.collect()
+        noise.directed_up(g, cp, "definitional")
+        assert len(calls) == 8
+
     def test_transformed_function_pickles_and_copies(self):
         f = DenseFunction(5, RNG.random(32), bounded=True)
         s = cube.transform(f, 0.3)
@@ -559,6 +610,12 @@ class TestOwnershipAndMemo:
             with pytest.raises(ValueError, match="read-only"):
                 g.values[0] = 0.5
             assert np.array_equal(cube.transform(g, 0.3).coeffs, s.coeffs)
+        up = noise.directed_up(f, noise.CouplingParams(0.3, 0.6), "definitional")
+        for g in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+            assert g._images is None  # no memo travels with the copy
+            assert np.array_equal(
+                noise.directed_up(g, noise.CouplingParams(0.3, 0.6), "definitional").values,
+                up.values)
         t = pickle.loads(pickle.dumps(s))
         assert t.p == s.p and np.array_equal(t.coeffs, s.coeffs)
         with pytest.raises(ValueError, match="read-only"):

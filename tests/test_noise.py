@@ -349,6 +349,18 @@ class TestCrossTerm:
         with pytest.raises(ValueError, match="g flagged bounded"):
             noise.cross_term(rand_fn(3), g, cp)
 
+    def test_shared_table_checked_under_either_flag(self):
+        cp = CouplingParams(0.2, 0.5)
+        values = RNG.random(8)
+        values[2] = -0.5
+        f = DenseFunction(3, values)
+        f.bounded = True
+        with pytest.raises(ValueError, match="f flagged bounded"):
+            noise.cross_term(f, f, cp)
+        plain = DenseFunction(3, values)  # the same table, unflagged: g's flag checks it
+        with pytest.raises(ValueError, match="g flagged bounded"):
+            noise.cross_term(plain, f, cp)
+
     def test_monotone_defect_zero(self):
         cp = CouplingParams(0.3, 0.6)
         f = DenseFunction.from_predicate(5, lambda x: bin(x).count("1") >= 3)

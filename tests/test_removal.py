@@ -288,7 +288,7 @@ def is_monotone_pairs(values, n):
 
 
 class TestIsMonotone:
-    @pytest.mark.parametrize("n", [1, 3, 6, 10])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 10, 12])
     def test_boolean_path_matches_float_path_and_pairs(self, n):
         rng = np.random.default_rng(300 + n)
         x = np.arange(1 << n)
@@ -305,9 +305,24 @@ class TestIsMonotone:
             assert removal.is_monotone(DenseFunction(n, values)) == want
             if np.all((values == 0.0) | (values == 1.0)):
                 assert removal.is_monotone(DenseFunction(n, values, boolean=True)) == want
-        planted = tables[5:]
-        assert not any(is_monotone_pairs(v, n) for v in planted)
+        # reversing a coordinate the table ignores plants nothing: at n = 2
+        # the threshold is a dictator
+        planted = [v for v in tables[5:] if not any(np.array_equal(v, t) for t in (real, threshold))]
+        assert len(planted) > n and not any(is_monotone_pairs(v, n) for v in planted)
         assert is_monotone_pairs(real, n) and is_monotone_pairs(threshold, n)
+
+    def test_packed_bits_match_the_float_path_at_n17(self):
+        # 2048 packed words: coordinates 6..16 compare whole words
+        n = 17
+        rng = np.random.default_rng(317)
+        x = np.arange(1 << n)
+        weights = rng.uniform(0.5, 1.5, n)
+        real = sum(w * ((x >> b) & 1) for b, w in enumerate(weights))
+        threshold = (real >= 0.5 * weights.sum()).astype(float)
+        tables = [threshold] + [threshold[x ^ 1 << i] for i in range(n)]
+        verdicts = [removal.is_monotone(DenseFunction(n, v, boolean=True)) for v in tables]
+        assert verdicts == [removal.is_monotone(DenseFunction(n, v)) for v in tables]
+        assert verdicts == [True] + [False] * n
 
 
 class TestThresholdCurve:

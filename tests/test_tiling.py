@@ -12,6 +12,7 @@ import numpy as np
 
 from biasedcube import cube, families, noise, removal
 from biasedcube.cube import BiasWeights, DenseFunction
+from test_noise import directed_down_oracle, directed_up_oracle, noise_operator_oracle
 
 SMALL_TILE_BITS = 8
 MIB = 1 << 20
@@ -50,6 +51,20 @@ class TestKernelPass:
         assert len(dec.J) == 1  # a second round, on two blocks
         assert (tiled_dec.J, tiled_dec.parts, tiled_dec.diagnostics) == (
             dec.J, dec.parts, dec.diagnostics)
+
+    def test_spectral_scaling_inside_small_tiles(self, monkeypatch):
+        # rho^|S| is multiplied in per tile: 2 to 16 tiles of 2^8 entries
+        rng = np.random.default_rng(2007)
+        cp = noise.CouplingParams(0.3, 0.65)
+        monkeypatch.setattr(cube, "_TILE_BITS", SMALL_TILE_BITS)
+        for n in range(9, 13):
+            f = DenseFunction(n, rng.random(1 << n))
+            assert np.array_equal(noise.directed_up(f, cp, "spectral").values,
+                                  directed_up_oracle(f, cp, "spectral").values)
+            assert np.array_equal(noise.directed_down(f, cp, "spectral").values,
+                                  directed_down_oracle(f, cp, "spectral").values)
+            assert np.array_equal(noise.noise_operator(f, 0.45, 0.4, "spectral").values,
+                                  noise_operator_oracle(f, 0.45, 0.4, "spectral").values)
 
     def test_tiles_at_n18_match_one_whole_table_tile(self, monkeypatch):
         rng = np.random.default_rng(2003)
@@ -126,4 +141,25 @@ class TestMemory:
             <= table + 2 * MIB
         F = families.SetFamily.random(n, 3, 0.3, 5)
         assert peak_bytes(families.lift, F) <= 2 * table + 2 * MIB
+        del spectrum
+
+    def test_spectral_operator_makes_one_table_at_n20(self):
+        # rho^|S| scales each tile inside the rebuild: no scaled 8 MiB table
+        n = 20
+        rng = np.random.default_rng(2008)
+        f = DenseFunction(n, rng.random(1 << n))
+        cp = noise.CouplingParams(0.3, 0.6)
+        spectrum = cube.transform(f, cp.q)  # held, so the route reuses it
+        assert peak_bytes(noise.directed_up, f, cp, "spectral") <= (8 << n) + 2 * MIB
+        del spectrum
+
+    def test_squares_take_no_second_tile_at_n16(self):
+        # one tile's weights take 512 KiB; the squares reuse a far smaller buffer
+        n = 16
+        rng = np.random.default_rng(2009)
+        f = DenseFunction(n, rng.random(1 << n))
+        spectrum = cube.transform(f, 0.3)
+        for fn, args in ((cube.stability, (f, 0.6, 0.3)),
+                         (cube.noisy_influence, (f, 16, 0.6, 0.3))):
+            assert peak_bytes(fn, *args) <= 768 << 10, fn.__name__
         del spectrum
