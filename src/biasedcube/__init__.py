@@ -65,7 +65,6 @@ from .hypergraphs import (
 )
 from .matchings import (
     MatchingSpec,
-    cross_probability_floor_battery,
     cross_probability_exact,
     cross_probability_mc,
     sample,

@@ -14,14 +14,13 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
-from .cube import DenseFunction, _check_n, popcounts
+from .cube import DenseFunction, _check_n, mask_of, popcounts
 from .families import SetFamily
 from .gaussian import lambda_rho
 from .hypergraphs import Hypergraph, WorkBoundExceeded, matching_hypergraph, sunflower_hypergraph
@@ -30,34 +29,22 @@ from .removal import removal_pipeline, threshold_curve
 from .verify import run_battery
 
 
-@dataclass
-class RunConfig:
-    command: str
-    seed: int = 0
-    tolerance: float = 1e-9
-    out: str | None = None
-    fmt: str = "json"
-    max_n: int = 24
-    samples: int = 20_000
-    extra: dict = field(default_factory=dict)
-
-    def body_config(self) -> dict:
-        return {"seed": self.seed, "tolerance": self.tolerance,
-                "max_n": self.max_n, "samples": self.samples, **self.extra}
-
-
-def _emit(cfg: RunConfig, body: dict, rows=None) -> None:
+def _emit(args, config: dict, body: dict, rows=None) -> None:
+    """Write one report, whose body's config is the common options plus the
+    command's own config keys; CSV writes only the rows."""
     report = {
         "header": {
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "version": __version__,
-            "command": cfg.command,
+            "command": args.command,
         },
-        "body": {"config": cfg.body_config(), **body},
+        "body": {"config": {"seed": args.seed, "tolerance": args.tol,
+                            "max_n": args.max_n, "samples": args.samples, **config},
+                 **body},
     }
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         if rows is None:
-            raise ValueError(f"{cfg.command} has no CSV output; use --format json")
+            raise ValueError(f"{args.command} has no CSV output; use --format json")
         buf = io.StringIO()
         writer = csv.writer(buf)
         for row in rows:
@@ -65,8 +52,8 @@ def _emit(cfg: RunConfig, body: dict, rows=None) -> None:
         text = buf.getvalue()
     else:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -76,13 +63,38 @@ def _rational(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    results = run_battery(seed=cfg.seed, tol=cfg.tolerance)
+# spec kind: (reader of a .json file's text, reader of any other file's bytes)
+_FILE_FORMATS = {
+    "function": (DenseFunction.from_json, DenseFunction.from_bytes),
+    "family": (SetFamily.from_json, lambda data: SetFamily.from_text(data.decode())),
+    "hypergraph": (None, lambda data: Hypergraph.from_text(data.decode())),
+}
+
+
+def _read_file(spec: str, kind: str, **expect):
+    """The function, family or hypergraph in a file:PATH spec's file, read as
+    JSON for a .json name and in the kind's own format for any other; each
+    keyword names a field the object must have, with its value."""
+    path = spec[len("file:"):]
+    with open(path, "rb") as fh:
+        data = fh.read()
+    from_json, from_other = _FILE_FORMATS[kind]
+    obj = (from_json(data.decode()) if from_json and path.endswith(".json")
+           else from_other(data))
+    for key, want in expect.items():
+        if getattr(obj, key) != want:
+            raise ValueError(f"{kind} file {path} has {key}={getattr(obj, key)}, "
+                             f"expected {want}")
+    return obj
+
+
+def cmd_verify(args) -> int:
+    results = run_battery(seed=args.seed, tol=args.tol)
     failed = [r["name"] for r in results if not r["passed"]]
     body = {"checks": results, "total": len(results), "failed": failed}
     rows = [["name", "passed", "value"]] + [
         [r["name"], r["passed"], r["value"]] for r in results]
-    _emit(cfg, body, rows)
+    _emit(args, {}, body, rows)
     return 0 if not failed else 1
 
 
@@ -96,60 +108,51 @@ _NAMED_FUNCTIONS = {
 
 def _load_function(spec: str, n: int, max_n: int) -> DenseFunction:
     if spec.startswith("file:"):
-        path = spec[5:]
-        with open(path, "rb") as fh:
-            data = fh.read()
-        f = (DenseFunction.from_json(data.decode())
-             if path.endswith(".json") else DenseFunction.from_bytes(data))
-    else:
-        if spec not in _NAMED_FUNCTIONS:
-            raise ValueError(f"unknown function {spec!r}; options: "
-                             f"{sorted(_NAMED_FUNCTIONS)} or file:PATH")
+        f = _read_file(spec, "function")
+    elif spec in _NAMED_FUNCTIONS:
         _check_n(n)  # before a table of 2^n entries is built
         f = _NAMED_FUNCTIONS[spec](n)
+    else:
+        raise ValueError(f"unknown function {spec!r}; options: "
+                         f"{sorted(_NAMED_FUNCTIONS)} or file:PATH")
     if f.n > max_n:
         raise ValueError(f"function dimension {f.n} exceeds --max-n {max_n}")
     return f
 
 
-def cmd_curve(cfg: RunConfig) -> int:
-    f = _load_function(cfg.extra["function"], cfg.extra["n"], cfg.max_n)
-    lo, hi, steps = cfg.extra["grid"]
-    grid = list(np.linspace(lo, hi, steps))
-    curve = threshold_curve(f, grid)
+def cmd_curve(args) -> int:
+    grid = _parse_grid(args.grid)
+    f = _load_function(args.function, args.n, args.max_n)
+    curve = threshold_curve(f, list(np.linspace(*grid)))
     body = {"curve": {"p": curve.ps, "mu": curve.mus, "p_c": curve.p_c,
                       "monotone": curve.monotone}}
     rows = [["p", "mu"]] + [[p, m] for p, m in zip(curve.ps, curve.mus)]
-    _emit(cfg, body, rows)
+    _emit(args, {"function": args.function, "n": args.n, "grid": grid}, body, rows)
     return 0
 
 
-def cmd_lambda(cfg: RunConfig) -> int:
+def cmd_lambda(args) -> int:
+    config = {key: _parse_floats(f"--{key}", getattr(args, key)) for key in ("rho", "mu", "nu")}
     entries = []
     rows = [["rho", "mu", "nu", "lambda"]]
-    for rho in cfg.extra["rho"]:
-        for mu in cfg.extra["mu"]:
-            for nu in cfg.extra["nu"]:
-                val = lambda_rho(rho, mu, nu, tol=min(cfg.tolerance, 1e-10))
+    for rho in config["rho"]:
+        for mu in config["mu"]:
+            for nu in config["nu"]:
+                val = lambda_rho(rho, mu, nu, tol=min(args.tol, 1e-10))
                 entries.append({"rho": rho, "mu": mu, "nu": nu, "value": val})
                 rows.append([rho, mu, nu, val])
-    _emit(cfg, {"lambda": entries}, rows)
+    _emit(args, config, {"lambda": entries}, rows)
     return 0
 
 
 def _load_family(spec: str, n: int, k: int) -> SetFamily:
     if spec.startswith("file:"):
-        path = spec[5:]
-        with open(path) as fh:
-            text = fh.read()
-        return (SetFamily.from_json(text) if path.endswith(".json")
-                else SetFamily.from_text(text))
+        return _read_file(spec, "family", n=n, k=k)
     if spec == "star":
         return SetFamily.star(n, k)
     if spec == "full":
         return SetFamily.full(n, k)
     if spec.startswith("singleton:"):
-        from .cube import mask_of
         elems = [int(t) for t in spec.split(":")[1].split(",")]
         return SetFamily(n, k, frozenset([mask_of(elems)]))
     raise ValueError(f"unknown family spec {spec!r}")
@@ -160,10 +163,9 @@ def _check_max_n(n: int, max_n: int) -> None:
         raise ValueError(f"--n {n} exceeds --max-n {max_n}")
 
 
-def cmd_count(cfg: RunConfig) -> int:
-    n = cfg.extra["n"]
-    _check_max_n(n, cfg.max_n)
-    sizes, specs = cfg.extra["sizes"], cfg.extra["families"]
+def cmd_count(args) -> int:
+    n, sizes, specs = args.n, [int(t) for t in args.sizes.split(",")], args.families.split(",")
+    _check_max_n(n, args.max_n)
     if len(specs) > len(sizes):  # fewer specs fail the families check below
         raise ValueError(f"{len(specs)} family specs for {len(sizes)} parts")
     fams = [_load_family(s, n, k) for s, k in zip(specs, sizes)]
@@ -175,9 +177,9 @@ def cmd_count(cfg: RunConfig) -> int:
         body["probability_exact"] = _rational(exact)
     except WorkBoundExceeded as exc:
         body["exact_refused"] = str(exc)
-    est, se = cross_probability_mc(n, sizes, fams, cfg.samples, cfg.seed)
+    est, se = cross_probability_mc(n, sizes, fams, args.samples, args.seed)
     body["mc"] = {"probability": est, "stderr": se}
-    _emit(cfg, body)
+    _emit(args, {"n": n, "sizes": sizes, "families": specs}, body)
     return 0
 
 
@@ -187,20 +189,18 @@ _NAMED_HYPERGRAPHS = {
 }
 
 
-def cmd_removal(cfg: RunConfig) -> int:
-    n, k, s = cfg.extra["n"], cfg.extra["k"], cfg.extra["s"]
-    _check_max_n(n, cfg.max_n)
-    F = _load_family(cfg.extra["family"], n, k)
-    hspec = cfg.extra["hypergraph"]
-    if hspec.startswith("file:"):
-        with open(hspec[5:]) as fh:
-            H = Hypergraph.from_text(fh.read())
-    elif hspec in _NAMED_HYPERGRAPHS:
-        H = _NAMED_HYPERGRAPHS[hspec](k)
+def cmd_removal(args) -> int:
+    _check_max_n(args.n, args.max_n)
+    F = _load_family(args.family, args.n, args.k)
+    if args.hypergraph.startswith("file:"):
+        H = _read_file(args.hypergraph, "hypergraph")
+    elif args.hypergraph in _NAMED_HYPERGRAPHS:
+        H = _NAMED_HYPERGRAPHS[args.hypergraph](args.k)
     else:
-        raise ValueError(f"unknown hypergraph spec {hspec!r}")
-    report = removal_pipeline(F, H, s, seed=cfg.seed, samples=cfg.samples)
-    _emit(cfg, {"pipeline": report})
+        raise ValueError(f"unknown hypergraph spec {args.hypergraph!r}")
+    report = removal_pipeline(F, H, args.s, seed=args.seed, samples=args.samples)
+    config = {key: getattr(args, key) for key in ("family", "hypergraph", "n", "k", "s")}
+    _emit(args, config, {"pipeline": report})
     return 0
 
 
@@ -229,38 +229,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="biasedcube")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--max-n", type=int, default=24)
         p.add_argument("--samples", type=int, default=20_000)
+        return p
 
-    common(sub.add_parser("verify", help="run the full invariant battery"))
+    command("verify", cmd_verify, "run the full invariant battery")
 
-    pc = sub.add_parser("curve", help="threshold curve of a monotone function")
-    common(pc)
+    pc = command("curve", cmd_curve, "threshold curve of a monotone function")
     pc.add_argument("--function", required=True)
     pc.add_argument("--n", type=int, default=5)
     pc.add_argument("--grid", default="0.05:0.95:19",
                     help="lo:hi:steps for the bias grid")
 
-    pl = sub.add_parser("lambda", help="correlated orthant probabilities")
-    common(pl)
+    pl = command("lambda", cmd_lambda, "correlated orthant probabilities")
     pl.add_argument("--rho", required=True, help="comma list")
     pl.add_argument("--mu", required=True, help="comma list")
     pl.add_argument("--nu", required=True, help="comma list")
 
-    pm = sub.add_parser("count", help="matching cross-containment probability")
-    common(pm)
+    pm = command("count", cmd_count, "matching cross-containment probability")
     pm.add_argument("--n", type=int, required=True)
     pm.add_argument("--sizes", required=True, help="comma list of part sizes")
     pm.add_argument("--families", required=True,
                     help="comma list of family specs, one per part")
 
-    pr = sub.add_parser("removal", help="removal-lemma pipeline")
-    common(pr)
+    pr = command("removal", cmd_removal, "removal-lemma pipeline")
     pr.add_argument("--family", required=True)
     pr.add_argument("--hypergraph", required=True)
     pr.add_argument("--n", type=int, required=True)
@@ -271,35 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(command=args.command, seed=args.seed, tolerance=args.tol,
-                    out=args.out, fmt=args.format, max_n=args.max_n,
-                    samples=args.samples)
     try:
         if args.samples < 1:
             raise ValueError(f"--samples must be a positive integer, got {args.samples}")
         if not math.isfinite(args.tol) or args.tol < 0:
             raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "curve":
-            cfg.extra = {"function": args.function, "n": args.n,
-                         "grid": _parse_grid(args.grid)}
-            return cmd_curve(cfg)
-        if args.command == "lambda":
-            cfg.extra = {"rho": _parse_floats("--rho", args.rho),
-                         "mu": _parse_floats("--mu", args.mu),
-                         "nu": _parse_floats("--nu", args.nu)}
-            return cmd_lambda(cfg)
-        if args.command == "count":
-            sizes = [int(t) for t in args.sizes.split(",")]
-            cfg.extra = {"n": args.n, "sizes": sizes,
-                         "families": args.families.split(",")}
-            return cmd_count(cfg)
-        if args.command == "removal":
-            cfg.extra = {"family": args.family, "hypergraph": args.hypergraph,
-                         "n": args.n, "k": args.k, "s": args.s}
-            return cmd_removal(cfg)
-        return 2
+        return args.run(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -46,6 +46,14 @@ def _fits(value, shape: str) -> bool:
         and not isinstance(value, bool)
 
 
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """values, or a ValueError if one is NaN or infinite.  File readers call
+    it; the constructor does not, so kernel outputs skip the pass."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} holds NaN or infinite values")
+    return values
+
+
 def _check_n(n: int, max_n: int = MAX_N) -> None:
     if not 1 <= n <= max_n:
         raise ValueError(f"dimension n={n} outside [1, {max_n}]")
@@ -359,7 +367,7 @@ class DenseFunction:
         if len(data) != 16 + (8 << n):
             raise ValueError(f"dense-function blob for n={n} has {len(data) - 16} "
                              f"body bytes, expected {8 << n}")
-        body = np.frombuffer(data[16:], dtype="<f8")
+        body = _finite(np.frombuffer(data[16:], dtype="<f8"), "dense-function blob")
         return DenseFunction(n, body, boolean=bool(flags & FLAG_BOOLEAN),
                              bounded=bool(flags & FLAG_BOUNDED))
 
@@ -370,7 +378,11 @@ class DenseFunction:
     @staticmethod
     def from_json(text: str) -> "DenseFunction":
         obj = _json_object(text, "dense-function", n="int", values="[number]", flags="int?")
-        return DenseFunction(obj["n"], obj["values"],
+        try:
+            values = _finite(np.asarray(obj["values"], dtype=np.float64), "dense-function JSON")
+        except OverflowError:
+            raise ValueError("dense-function JSON holds an integer past the float range") from None
+        return DenseFunction(obj["n"], values,
                              boolean=bool(obj.get("flags", 0) & FLAG_BOOLEAN),
                              bounded=bool(obj.get("flags", 0) & FLAG_BOUNDED))
 

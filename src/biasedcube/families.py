@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -41,10 +40,6 @@ class SetFamily:
     @property
     def measure(self) -> float:
         return len(self.members) / math.comb(self.n, self.k)
-
-    @property
-    def measure_exact(self) -> Fraction:
-        return Fraction(len(self.members), math.comb(self.n, self.k))
 
     @staticmethod
     def full(n: int, k: int) -> "SetFamily":

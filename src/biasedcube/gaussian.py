@@ -22,7 +22,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .cube import _SAMPLE_BLOCK, Spectrum, _binomial_estimate, _draw_chunks, level_powers
+from .cube import _SAMPLE_BLOCK, Spectrum, _binomial_estimate, _draw_chunks
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -196,10 +196,6 @@ class GaussianPoly:
             v = c.reshape(m, -1, 2)
             c = v[:, :, 0] + Z[:, i, None] * v[:, :, 1]
         return c[:, 0]
-
-    def noise_scaled(self, rho: float) -> "GaussianPoly":
-        """Ornstein-Uhlenbeck smoothing: scale a_S by rho^|S|."""
-        return GaussianPoly(self.n, self.coeffs * level_powers(rho, self.n))
 
 
 def gaussian_analogue(s: Spectrum) -> GaussianPoly:

@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .cube import _bit_weights, _draw_chunks, _is_member, _uniform_buckets, coords_of, mask_of
-from .families import SetFamily, family_slice
+from .families import family_slice
 from .hypergraphs import (Hypergraph, _block_hypergraph, _check_families, _copy_masks,
                           _count_inside, _estimate_inside, _inside, _random_copies,
                           _random_images)
@@ -171,38 +171,6 @@ def uniform_matching_distribution(n: int, sizes) -> dict:
 
     rec(0, 0, ())
     return out
-
-
-def cross_probability_floor_battery(n: int, sizes, eps: float, trials: int,
-                                    seed: int, floor: float = 1e-4,
-                                    samples: int = 4000, regularity_r: int = 1) -> dict:
-    """Random regular families of measure >= eps, with their MC cross
-    probabilities checked against a configurable positive floor."""
-    from .families import family_regular
-    rng = np.random.default_rng(seed)
-    probs = []
-    for t in range(trials):
-        fams = []
-        for k in sizes:
-            for _ in range(50):
-                F = SetFamily.random(n, k, max(2 * eps, 0.3),
-                                     int(rng.integers(0, 2 ** 63)))
-                if F.measure >= eps and family_regular(F, regularity_r, 0.35):
-                    fams.append(F)
-                    break
-            else:
-                raise RuntimeError("family generator failed regularity repeatedly")
-        est, _ = cross_probability_mc(n, sizes, fams, samples,
-                                      int(rng.integers(0, 2 ** 63)))
-        probs.append(est)
-    probs.sort()
-    return {
-        "n": n, "sizes": list(sizes), "eps": eps, "trials": trials,
-        "floor": floor,
-        "min_probability": probs[0],
-        "median_probability": probs[len(probs) // 2],
-        "all_above_floor": bool(probs[0] > floor),
-    }
 
 
 def expanded_event_equivalence(H: Hypergraph, families, samples: int,

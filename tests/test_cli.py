@@ -1,4 +1,9 @@
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -249,6 +254,23 @@ class TestRemoval:
                              capsys)
         assert code == 2 and out == "" and "exceeds --max-n" in err
 
+    def test_family_file_must_match_n_and_k(self, tmp_path, capsys):
+        from biasedcube.families import SetFamily
+        path = tmp_path / "f.txt"
+        argv = ["removal", "--family", f"file:{path}", "--hypergraph", "i21",
+                "--n", "10", "--k", "3", "--s", "1", "--samples", "1000"]
+        for F, message in ((SetFamily.star(9, 3), "has n=9, expected 10"),
+                           (SetFamily.star(10, 2), "has k=2, expected 3")):
+            path.write_text(F.to_text())
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1 and message in err
+        path.write_text(SetFamily.star(10, 3).to_text())
+        code, out, _ = run(argv, capsys)
+        _, named, _ = run([a if a != f"file:{path}" else "star" for a in argv], capsys)
+        assert code == 0
+        assert json.loads(out)["body"]["pipeline"] == json.loads(named)["body"]["pipeline"]
+
     def test_csv_refused(self, tmp_path, capsys):
         path = tmp_path / "report.csv"
         code, out, err = run(["removal", "--family", "star", "--hypergraph",
@@ -296,6 +318,23 @@ class TestMalformed:
             path.write_text('{%s, "values": [0, 0, 0, 0, 0, 0, 0, 1]}' % fields)
             self.assert_refused(["curve", "--function", f"file:{path}"], capsys, message)
 
+    def test_function_json_with_non_finite_values(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        for entry, message in (("NaN", "NaN or infinite"), ("Infinity", "NaN or infinite"),
+                               ("-Infinity", "NaN or infinite"), ("1e400", "NaN or infinite"),
+                               ("1" + "0" * 400, "past the float range")):
+            path.write_text('{"n": 2, "values": [0, 0, 0, %s]}' % entry)
+            self.assert_refused(["curve", "--function", f"file:{path}"], capsys, message)
+
+    def test_function_blob_with_non_finite_values(self, tmp_path, capsys):
+        from biasedcube.cube import DenseFunction
+        path = tmp_path / "fn.bin"
+        blob = DenseFunction(2, [0.0, 0.0, 0.0, 1.0]).to_bytes()
+        for value in (float("nan"), float("inf"), float("-inf")):
+            path.write_bytes(blob[:-8] + struct.pack("<d", value))
+            self.assert_refused(["curve", "--function", f"file:{path}"], capsys,
+                                "NaN or infinite")
+
     def test_family_json_with_string_members(self, tmp_path, capsys):
         path = tmp_path / "f.json"
         path.write_text('{"n": 6, "k": 2, "members": [["a"]]}')
@@ -334,3 +373,21 @@ class TestParser:
         assert header["command"] == "lambda"
         assert header["version"]
         assert "T" in header["timestamp"]
+
+
+class TestModuleEntryPoint:
+    """`python -m biasedcube.cli` in a fresh process, as the console script
+    and the batch benchmark run it, not cli.main in-process."""
+
+    def run_module(self, *argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        return subprocess.run([sys.executable, "-m", "biasedcube.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_report_and_refusal(self):
+        proc = self.run_module("lambda", "--rho", "0.5", "--mu", "0.5", "--nu", "0.5")
+        assert proc.returncode == 0 and proc.stderr == ""
+        jsonschema.validate(json.loads(proc.stdout), load_schema())
+        proc = self.run_module("lambda", "--rho", ",", "--mu", "0.5", "--nu", "0.5")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: --rho") and proc.stderr.count("\n") == 1

@@ -12,6 +12,10 @@ from biasedcube.families import JuntaFamily, SetFamily
 from biasedcube.noise import CouplingParams
 
 
+def measure_exact(F: SetFamily) -> Fraction:
+    return Fraction(len(F.members), math.comb(F.n, F.k))
+
+
 def family_instances(count, seed):
     """Seeded k-uniform families, k = 1..5 on n = k+2..k+4 points (n <= 9):
     random, empty, full, star and junta-generated."""
@@ -71,7 +75,7 @@ class TestSetFamily:
 
     def test_star_measure(self):
         F = SetFamily.star(9, 3)
-        assert F.measure_exact == Fraction(1, 3)
+        assert measure_exact(F) == Fraction(1, 3)
 
     def test_text_round_trip(self):
         F = SetFamily.random(7, 3, 0.4, seed=1)

@@ -7,7 +7,7 @@ import pytest
 
 from biasedcube import gaussian, hypergraphs, matchings
 from biasedcube.cube import mask_of
-from biasedcube.families import SetFamily
+from biasedcube.families import SetFamily, family_regular
 from biasedcube.hypergraphs import Hypergraph, sunflower_hypergraph
 from biasedcube.matchings import MatchingSpec, sample
 
@@ -214,9 +214,40 @@ class TestDistributionEquality:
         assert len(set(law.values())) == 1  # genuinely uniform
 
 
+def cross_probability_floor_battery(n: int, sizes, eps: float, trials: int,
+                                    seed: int, floor: float, samples: int,
+                                    regularity_r: int) -> dict:
+    """Random regular families of measure >= eps, with their MC cross
+    probabilities checked against a positive floor."""
+    rng = np.random.default_rng(seed)
+    probs = []
+    for t in range(trials):
+        fams = []
+        for k in sizes:
+            for _ in range(50):
+                F = SetFamily.random(n, k, max(2 * eps, 0.3),
+                                     int(rng.integers(0, 2 ** 63)))
+                if F.measure >= eps and family_regular(F, regularity_r, 0.35):
+                    fams.append(F)
+                    break
+            else:
+                raise RuntimeError("family generator failed regularity repeatedly")
+        est, _ = matchings.cross_probability_mc(n, sizes, fams, samples,
+                                                int(rng.integers(0, 2 ** 63)))
+        probs.append(est)
+    probs.sort()
+    return {
+        "n": n, "sizes": list(sizes), "eps": eps, "trials": trials,
+        "floor": floor,
+        "min_probability": probs[0],
+        "median_probability": probs[len(probs) // 2],
+        "all_above_floor": bool(probs[0] > floor),
+    }
+
+
 class TestCountingInstances:
     def test_regular_families_stay_above_floor(self):
-        out = matchings.cross_probability_floor_battery(
+        out = cross_probability_floor_battery(
             10, (2, 2), eps=0.3, trials=6, seed=8, floor=1e-3,
             samples=3_000, regularity_r=1)
         assert out["all_above_floor"]
