@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .cube import DenseFunction, _check_n, mask_of, popcounts
+from .cube import MAX_N, DenseFunction, _check_n, mask_of, popcounts
 from .families import SetFamily
 from .gaussian import lambda_rho
 from .hypergraphs import Hypergraph, WorkBoundExceeded, matching_hypergraph, sunflower_hypergraph
@@ -30,21 +30,19 @@ from .verify import run_battery
 
 
 def _emit(args, config: dict, body: dict, rows=None) -> None:
-    """Write one report, whose body's config is the common options plus the
-    command's own config keys; CSV writes only the rows."""
+    """Write one report, whose body's config holds the common options the
+    command takes and its own config keys; CSV writes only the rows."""
     report = {
         "header": {
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "version": __version__,
             "command": args.command,
         },
-        "body": {"config": {"seed": args.seed, "tolerance": args.tol,
-                            "max_n": args.max_n, "samples": args.samples, **config},
-                 **body},
+        "body": {"config": {key: getattr(args, dest) for key, dest in (
+                     ("seed", "seed"), ("tolerance", "tol"), ("max_n", "max_n"),
+                     ("samples", "samples")) if dest in args} | config, **body},
     }
-    if args.format == "csv":
-        if rows is None:
-            raise ValueError(f"{args.command} has no CSV output; use --format json")
+    if "format" in args and args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         for row in rows:
@@ -106,15 +104,20 @@ _NAMED_FUNCTIONS = {
 }
 
 
+def _check_max_n(n: int, max_n: int) -> None:
+    if n > max_n:
+        raise ValueError(f"--n {n} exceeds --max-n {max_n}")
+
+
 def _load_function(spec: str, n: int, max_n: int) -> DenseFunction:
-    if spec.startswith("file:"):
-        f = _read_file(spec, "function")
-    elif spec in _NAMED_FUNCTIONS:
-        _check_n(n)  # before a table of 2^n entries is built
-        f = _NAMED_FUNCTIONS[spec](n)
-    else:
+    if spec in _NAMED_FUNCTIONS:
+        _check_max_n(n, max_n)  # both before a table of 2^n entries is built
+        _check_n(n)
+        return _NAMED_FUNCTIONS[spec](n)
+    if not spec.startswith("file:"):
         raise ValueError(f"unknown function {spec!r}; options: "
                          f"{sorted(_NAMED_FUNCTIONS)} or file:PATH")
+    f = _read_file(spec, "function")
     if f.n > max_n:
         raise ValueError(f"function dimension {f.n} exceeds --max-n {max_n}")
     return f
@@ -127,7 +130,7 @@ def cmd_curve(args) -> int:
     body = {"curve": {"p": curve.ps, "mu": curve.mus, "p_c": curve.p_c,
                       "monotone": curve.monotone}}
     rows = [["p", "mu"]] + [[p, m] for p, m in zip(curve.ps, curve.mus)]
-    _emit(args, {"function": args.function, "n": args.n, "grid": grid}, body, rows)
+    _emit(args, {"function": args.function, "n": f.n, "grid": grid}, body, rows)
     return 0
 
 
@@ -152,15 +155,10 @@ def _load_family(spec: str, n: int, k: int) -> SetFamily:
         return SetFamily.star(n, k)
     if spec == "full":
         return SetFamily.full(n, k)
-    if spec.startswith("singleton:"):
-        elems = [int(t) for t in spec.split(":")[1].split(",")]
+    if spec.startswith("singleton:") and spec.count(":") == 1:
+        elems = [int(t) for t in spec[len("singleton:"):].split(",")]
         return SetFamily(n, k, frozenset([mask_of(elems)]))
     raise ValueError(f"unknown family spec {spec!r}")
-
-
-def _check_max_n(n: int, max_n: int) -> None:
-    if n > max_n:
-        raise ValueError(f"--n {n} exceeds --max-n {max_n}")
 
 
 def cmd_count(args) -> int:
@@ -169,8 +167,7 @@ def cmd_count(args) -> int:
     if len(specs) > len(sizes):  # fewer specs fail the families check below
         raise ValueError(f"{len(specs)} family specs for {len(sizes)} parts")
     fams = [_load_family(s, n, k) for s, k in zip(specs, sizes)]
-    body: dict = {"n": n, "sizes": sizes,
-                  "measures": [F.measure for F in fams]}
+    body: dict = {"measures": [F.measure for F in fams]}
     try:
         exact = cross_probability_exact(n, sizes, fams)
         body["probability"] = float(exact)
@@ -225,19 +222,30 @@ def _parse_grid(text: str) -> tuple:
     return lo, hi, steps
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subparsers, whose usage errors
+    raise ValueError, for main's one-line refusal."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="biasedcube")
+    parser = _Parser(prog="biasedcube")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, run, help):
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--max-n", type=int, default=24)
-        p.add_argument("--samples", type=int, default=20_000)
+        for option, commands, kwargs in (  # each common option, on the commands that read it
+                ("--seed", "verify count removal", dict(type=int, default=0)),
+                ("--tol", "verify lambda", dict(type=float, default=1e-9)),
+                ("--out", "verify curve lambda count removal", dict(default=None)),
+                ("--format", "verify curve lambda", dict(choices=["json", "csv"], default="json")),
+                ("--max-n", "curve count removal", dict(type=int, default=MAX_N)),
+                ("--samples", "count removal", dict(type=int, default=20_000))):
+            if name in commands.split():
+                p.add_argument(option, **kwargs)
         return p
 
     command("verify", cmd_verify, "run the full invariant battery")
@@ -269,11 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        if args.samples < 1:
+        args = build_parser().parse_args(argv)
+        if "samples" in args and args.samples < 1:
             raise ValueError(f"--samples must be a positive integer, got {args.samples}")
-        if not math.isfinite(args.tol) or args.tol < 0:
+        if "tol" in args and (not math.isfinite(args.tol) or args.tol < 0):
             raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
         return args.run(args)
     except (ValueError, OSError) as exc:

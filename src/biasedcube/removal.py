@@ -154,11 +154,6 @@ class ThresholdCurve:
     monotone: bool
 
 
-def _mu_from_layers(layer_sums: np.ndarray, n: int, p: float) -> float:
-    j = np.arange(n + 1)
-    return float(np.dot(layer_sums, p ** j * (1.0 - p) ** (n - j)))
-
-
 def threshold_curve(f: DenseFunction, grid) -> ThresholdCurve:
     """Exact mu_p(f) on a grid plus the critical probability by bisection.
 
@@ -173,16 +168,20 @@ def threshold_curve(f: DenseFunction, grid) -> ThresholdCurve:
     layer_sums = np.zeros(n + 1)
     np.add.at(layer_sums, popcounts(n), f.values)
     monotone = is_monotone(f)
-    mus = [_mu_from_layers(layer_sums, n, p) for p in grid]
+
+    def mu(p: float) -> float:
+        return float(np.dot(layer_sums, _bias_levels(n, p)))
+
+    mus = [mu(p) for p in grid]
     lo, hi = 1e-6, 1.0 - 1e-6
     p_c = None
-    mlo = _mu_from_layers(layer_sums, n, lo) - 0.5
-    mhi = _mu_from_layers(layer_sums, n, hi) - 0.5
+    mlo = mu(lo) - 0.5
+    mhi = mu(hi) - 0.5
     flat = np.array_equal(layer_sums, [math.comb(n, j) / 2 for j in range(n + 1)])
     if mlo * mhi <= 0.0 and not flat:
         while hi - lo > 1e-8:
             mid = 0.5 * (lo + hi)
-            if (_mu_from_layers(layer_sums, n, mid) - 0.5) * mlo > 0.0:
+            if (mu(mid) - 0.5) * mlo > 0.0:
                 lo = mid
             else:
                 hi = mid

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import struct
@@ -92,6 +93,14 @@ class TestCurve:
                             "--max-n", "5"], capsys)
         assert code == 2 and "exceeds" in err
 
+    def test_max_n_checked_before_named_table(self, monkeypatch, capsys):
+        monkeypatch.setitem(cli._NAMED_FUNCTIONS, "maj",
+                            lambda n: pytest.fail("maj table built before the --max-n check"))
+        code, out, err = run(["curve", "--function", "maj", "--n", "24", "--max-n", "5"],
+                             capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "exceeds --max-n" in err
+
     def test_truncated_binary_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "fn.bin"
         path.write_bytes(b"BQF1" + b"\x00" * 6)
@@ -109,6 +118,13 @@ class TestCurve:
         assert code == 0
         mu = json.loads(out)["body"]["curve"]["mu"]
         assert abs(mu[0] - (1 - 0.8 ** 4)) < 1e-12
+
+    def test_file_config_records_its_dimension(self, tmp_path, capsys):
+        from biasedcube.cube import DenseFunction
+        path = tmp_path / "f4.bin"
+        path.write_bytes(DenseFunction.from_predicate(4, lambda x: x != 0).to_bytes())
+        code, out, _ = run(["curve", "--function", f"file:{path}"], capsys)
+        assert code == 0 and json.loads(out)["body"]["config"]["n"] == 4
 
     def test_flat_curve_p_c_null(self, tmp_path, capsys):
         path = tmp_path / "half.json"
@@ -341,6 +357,10 @@ class TestMalformed:
         self.assert_refused(["count", "--n", "6", "--sizes", "2,2", "--families",
                              f"file:{path},full"], capsys, "field members is not [[int]]")
 
+    def test_singleton_spec_with_second_colon(self, capsys):
+        self.assert_refused(["removal", "--family", "singleton:1,2:7", "--hypergraph", "m2",
+                             "--n", "6", "--k", "2"], capsys, "unknown family spec")
+
     def test_negative_s(self, capsys):
         self.assert_refused(["removal", "--family", "star", "--hypergraph", "i21",
                              "--n", "9", "--k", "3", "--s", "-1"], capsys, "non-negative")
@@ -362,9 +382,64 @@ class TestMalformed:
 
 
 class TestParser:
-    def test_missing_subcommand(self):
-        with pytest.raises(SystemExit):
-            cli.main([])
+    COMMON = {"--seed", "--tol", "--out", "--format", "--max-n", "--samples"}
+    # command: (a valid argv, its option strings past -h, its report's config keys)
+    SURFACE = {
+        "verify": (["verify"], {"--seed", "--tol", "--out", "--format"}, {"seed", "tolerance"}),
+        "curve": (["curve", "--function", "maj"],
+                  {"--out", "--format", "--max-n", "--function", "--n", "--grid"},
+                  {"max_n", "function", "n", "grid"}),
+        "lambda": (["lambda", "--rho", "0.5", "--mu", "0.5", "--nu", "0.5"],
+                   {"--tol", "--out", "--format", "--rho", "--mu", "--nu"},
+                   {"tolerance", "rho", "mu", "nu"}),
+        "count": (["count", "--n", "4", "--sizes", "1,1", "--families", "full,full",
+                   "--samples", "100"],
+                  {"--seed", "--out", "--max-n", "--samples", "--n", "--sizes", "--families"},
+                  {"seed", "max_n", "samples", "n", "sizes", "families"}),
+        "removal": (["removal", "--family", "star", "--hypergraph", "m2", "--n", "9",
+                     "--k", "3", "--samples", "1000"],
+                    {"--seed", "--out", "--max-n", "--samples", "--family", "--hypergraph",
+                     "--n", "--k", "--s"},
+                    {"seed", "max_n", "samples", "family", "hypergraph", "n", "k", "s"}),
+    }
+
+    def assert_usage_error(self, argv, capsys, message):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and message in err
+
+    def test_missing_subcommand(self, capsys):
+        self.assert_usage_error([], capsys, "required")
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_options_and_config_keys(self, command, capsys):
+        argv, options, keys = self.SURFACE[command]
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {s for a in sub.choices[command]._actions for s in a.option_strings}
+        assert got - {"-h", "--help"} == options
+        code, out, _ = run(argv, capsys)
+        report = json.loads(out)
+        assert code == 0 and set(report["body"]["config"]) == keys
+        jsonschema.validate(report, load_schema())
+
+    def test_usage_errors_take_one_line(self, capsys):
+        self.assert_usage_error(["curve", "--function", "maj", "--bogus", "1"], capsys,
+                                "unrecognized arguments: --bogus 1")
+        self.assert_usage_error(["curve", "--n", "5"], capsys, "required: --function")
+        self.assert_usage_error(["curve", "--function", "maj", "--n", "x"], capsys,
+                                "invalid int value: 'x'")
+        removed = [(argv, option) for argv, options, _ in self.SURFACE.values()
+                   for option in sorted(self.COMMON - options)]
+        assert len(removed) == 12
+        for argv, option in removed:
+            self.assert_usage_error(argv + [option, "1"], capsys,
+                                    f"unrecognized arguments: {option} 1")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["curve", "--help"])
+        assert exc.value.code == 0 and "--max-n" in capsys.readouterr().out
 
     def test_header_fields(self, capsys):
         _, out, _ = run(["lambda", "--rho", "0", "--mu", "0.5", "--nu", "0.5"],
